@@ -28,6 +28,8 @@ int main(int argc, char** argv) {
   // Paper-reproduction runs measure the fully specialized per-literal
   // code, not the production parameterized variant.
   eopts.hoist_constants = false;
+  // Sweeps measure a fresh compile per statement: no plan cache.
+  eopts.cache_compiled = false;
   HiqueEngine hique(&catalog, eopts);
 
   // Dense domain so both fine and coarse partitioning apply.
@@ -56,7 +58,7 @@ int main(int argc, char** argv) {
       popts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
       popts.fine_partition_max_domain = 0;
       popts.force_partitions = parts;
-      auto r = hique.QueryWithPlanner(sql, popts);
+      auto r = hique.OpenSession({/*override_planner=*/true, popts}).Query(sql);
       if (!r.ok()) {
         std::printf("M=%u: %s\n", parts, r.status().ToString().c_str());
         return 1;
@@ -76,7 +78,7 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
       popts.fine_partition_max_domain = domain + 1;  // allow fine
-      auto r = hique.QueryWithPlanner(sql, popts);
+      auto r = hique.OpenSession({/*override_planner=*/true, popts}).Query(sql);
       if (!r.ok()) {
         std::printf("fine: %s\n", r.status().ToString().c_str());
         return 1;
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
       popts.fine_partition_max_domain = 0;  // force coarse
-      auto r = hique.QueryWithPlanner(sql, popts);
+      auto r = hique.OpenSession({/*override_planner=*/true, popts}).Query(sql);
       if (!r.ok()) {
         std::printf("coarse: %s\n", r.status().ToString().c_str());
         return 1;
@@ -107,7 +109,7 @@ int main(int argc, char** argv) {
     {
       plan::PlannerOptions popts;
       popts.fine_partition_max_domain = 0;
-      auto r = hique.QueryWithPlanner(sql, popts);
+      auto r = hique.OpenSession({/*override_planner=*/true, popts}).Query(sql);
       if (!r.ok()) {
         std::printf("fused: %s\n", r.status().ToString().c_str());
         return 1;
@@ -124,7 +126,8 @@ int main(int argc, char** argv) {
           "where ao_k = ai_k group by ao_v";
       plan::PlannerOptions popts;
       popts.fine_partition_max_domain = 0;
-      auto r = hique.QueryWithPlanner(sql2, popts);
+      auto r = hique.OpenSession({/*override_planner=*/true, popts})
+                   .Query(sql2);
       if (!r.ok()) {
         std::printf("unfused: %s\n", r.status().ToString().c_str());
         return 1;

@@ -32,6 +32,8 @@ EngineOptions BaseOptions(const std::string& gen_tag, uint32_t threads) {
   // Paper-reproduction runs measure the fully specialized per-literal
   // code, not the production parameterized variant.
   eopts.hoist_constants = false;
+  // Sweeps measure a fresh compile per statement: no plan cache.
+  eopts.cache_compiled = false;
   eopts.threads = threads;
   return eopts;
 }
@@ -41,7 +43,8 @@ double TimeQuery(HiqueEngine* engine, const std::string& sql,
                  const plan::PlannerOptions& popts, int repeat) {
   double best = 0.0;
   for (int r = 0; r < repeat; ++r) {
-    auto qr = engine->QueryWithPlanner(sql, popts);
+    auto qr = engine->OpenSession({/*override_planner=*/true, popts})
+                 .Query(sql);
     if (!qr.ok()) {
       std::printf("query failed: %s\n", qr.status().ToString().c_str());
       std::exit(1);

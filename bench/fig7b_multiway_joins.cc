@@ -50,6 +50,8 @@ int main(int argc, char** argv) {
   // Paper-reproduction runs measure the fully specialized per-literal
   // code, not the production parameterized variant.
   eopts.hoist_constants = false;
+  // Sweeps measure a fresh compile per statement: no plan cache.
+  eopts.cache_compiled = false;
   HiqueEngine hique(&catalog, eopts);
   iter::VolcanoEngine volcano(&catalog, iter::Mode::kOptimized);
 
@@ -85,7 +87,8 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.enable_join_teams = false;
       popts.force_join_algo = plan::JoinAlgo::kMerge;
-      auto hr = hique.QueryWithPlanner(sql, popts);
+      auto hr = hique.OpenSession({/*override_planner=*/true, popts})
+                   .Query(sql);
       if (!hr.ok()) {
         std::printf("hique binary: %s\n", hr.status().ToString().c_str());
         return 1;
@@ -96,7 +99,8 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.enable_join_teams = true;
       popts.force_join_algo = plan::JoinAlgo::kMerge;
-      auto hr = hique.QueryWithPlanner(sql, popts);
+      auto hr = hique.OpenSession({/*override_planner=*/true, popts})
+                   .Query(sql);
       if (!hr.ok()) {
         std::printf("hique team merge: %s\n", hr.status().ToString().c_str());
         return 1;
@@ -108,7 +112,8 @@ int main(int argc, char** argv) {
       popts.enable_join_teams = true;
       popts.force_join_algo = plan::JoinAlgo::kHybridHashSortMerge;
       popts.fine_partition_max_domain = 0;
-      auto hr = hique.QueryWithPlanner(sql, popts);
+      auto hr = hique.OpenSession({/*override_planner=*/true, popts})
+                   .Query(sql);
       if (!hr.ok()) {
         std::printf("hique team hybrid: %s\n", hr.status().ToString().c_str());
         return 1;

@@ -40,6 +40,8 @@ int main(int argc, char** argv) {
   // Paper-reproduction runs measure the fully specialized per-literal
   // code, not the production parameterized variant.
   eopts.hoist_constants = false;
+  // Sweeps measure a fresh compile per statement: no plan cache.
+  eopts.cache_compiled = false;
   HiqueEngine hique(&catalog, eopts);
   iter::VolcanoEngine volcano(&catalog, iter::Mode::kOptimized);
 
@@ -78,7 +80,8 @@ int main(int argc, char** argv) {
       plan::PlannerOptions popts;
       popts.force_join_algo = algo;
       popts.fine_partition_max_domain = 0;
-      auto hr = hique.QueryWithPlanner(sql, popts);
+      auto hr = hique.OpenSession({/*override_planner=*/true, popts})
+                   .Query(sql);
       if (!hr.ok()) {
         std::printf("hique: %s\n", hr.status().ToString().c_str());
         return 1;

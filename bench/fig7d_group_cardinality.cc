@@ -37,6 +37,8 @@ int main(int argc, char** argv) {
   // Paper-reproduction runs measure the fully specialized per-literal
   // code, not the production parameterized variant.
   eopts.hoist_constants = false;
+  // Sweeps measure a fresh compile per statement: no plan cache.
+  eopts.cache_compiled = false;
   HiqueEngine hique(&catalog, eopts);
   iter::VolcanoEngine volcano(&catalog, iter::Mode::kOptimized);
 
@@ -62,7 +64,8 @@ int main(int argc, char** argv) {
       // Match the paper: hybrid partitions on hash, not dense values.
       popts.fine_partition_max_domain = 0;
       if (use_hique) {
-        auto r = hique.QueryWithPlanner(sql, popts);
+        auto r = hique.OpenSession({/*override_planner=*/true, popts})
+                     .Query(sql);
         if (!r.ok()) return r.status();
         return r.value().exec_stats.execute_seconds;
       }

@@ -76,14 +76,17 @@ int main(int argc, char** argv) {
   eopts.compile.opt_level = 2;
   eopts.threads = 1;
   HiqueEngine hique(&catalog, eopts);
+  Session hique_conn = hique.OpenSession();
   EngineOptions sopts = eopts;
   sopts.gen_dir = env::ProcessTempDir() + "/fig8_scalar";
   sopts.simd = false;
   HiqueEngine hique_scalar(&catalog, sopts);
+  Session hique_scalar_conn = hique_scalar.OpenSession();
   EngineOptions mopts = eopts;
   mopts.gen_dir = env::ProcessTempDir() + "/fig8_mt";
   mopts.threads = threads;
   HiqueEngine hique_mt(&catalog, mopts);
+  Session hique_mt_conn = hique_mt.OpenSession();
   // Span-collection engine: trace_spans records the per-operator breakdown
   // (same generated source — only an engine-side recorder is installed).
   // Runs once per query outside the timed repeats so the tracked numbers
@@ -92,6 +95,7 @@ int main(int argc, char** argv) {
   spopts.gen_dir = env::ProcessTempDir() + "/fig8_span";
   spopts.trace_spans = true;
   HiqueEngine hique_span(&catalog, spopts);
+  Session hique_span_conn = hique_span.OpenSession();
   // Compressed-storage run: a second identically seeded catalog (the
   // compressing engine rewrites its tables in place, which must not
   // perturb the other systems' inputs) with decode fused into the
@@ -105,6 +109,7 @@ int main(int argc, char** argv) {
   copts.gen_dir = env::ProcessTempDir() + "/fig8_comp";
   copts.compression = true;
   HiqueEngine hique_comp(&catalog_comp, copts);
+  Session hique_comp_conn = hique_comp.OpenSession();
   iter::VolcanoEngine pg(&catalog, iter::Mode::kGeneric);
   iter::VolcanoEngine sysx(&catalog, iter::Mode::kOptimized);
   col::ColumnEngine monet(&catalog);
@@ -160,7 +165,7 @@ int main(int argc, char** argv) {
   // datapoint so a perf regression points at the operator, not the query.
   auto op_spans_json = [&](const std::string& sql) {
     bench::JsonArr spans;
-    auto res = hique_span.Query(sql);
+    auto res = hique_span_conn.Query(sql);
     if (!res.ok()) return spans;
     const QueryResult& r = res.value();
     std::vector<std::string> plan_lines;
@@ -207,19 +212,20 @@ int main(int argc, char** argv) {
     double t_col = best(q.name, "column", monet,
                         [](const auto& r) { return r.total_seconds; });
     double t_scalar =
-        best(q.name, "hique-scalar", hique_scalar,
+        best(q.name, "hique-scalar", hique_scalar_conn,
              [](const auto& r) { return r.exec_stats.execute_seconds; });
-    double t_hq = best(q.name, "hique", hique, [&rows](const auto& r) {
+    double t_hq = best(q.name, "hique", hique_conn, [&rows](const auto& r) {
       rows = r.NumRows();
       return r.exec_stats.execute_seconds;
     });
     int64_t comp_rows = 0;
     double t_comp =
-        best(q.name, "hique-comp", hique_comp, [&comp_rows](const auto& r) {
-          comp_rows = r.NumRows();
-          return r.exec_stats.execute_seconds;
-        });
-    double t_mt = best(q.name, "hique-mt", hique_mt,
+        best(q.name, "hique-comp", hique_comp_conn,
+             [&comp_rows](const auto& r) {
+               comp_rows = r.NumRows();
+               return r.exec_stats.execute_seconds;
+             });
+    double t_mt = best(q.name, "hique-mt", hique_mt_conn,
                        [](const auto& r) { return r.exec_stats.execute_seconds; });
     if (failed) return 1;
     if (comp_rows != rows) {
@@ -286,8 +292,8 @@ int main(int argc, char** argv) {
     int64_t rows = 0;
     double t_scalar = 1e100, t_hq = 1e100;
     for (int r = -1; r < repeat; ++r) {
-      auto rs = hique_scalar.Query(q.sql);
-      auto rv = hique.Query(q.sql);
+      auto rs = hique_scalar_conn.Query(q.sql);
+      auto rv = hique_conn.Query(q.sql);
       if (!rs.ok() || !rv.ok()) {
         std::printf("%s hique: %s\n", q.name,
                     (rs.ok() ? rv : rs).status().ToString().c_str());
@@ -299,7 +305,7 @@ int main(int argc, char** argv) {
       rows = rv.value().NumRows();
     }
     cur_sql = q.sql;
-    double t_mt = best(q.name, "hique-mt", hique_mt,
+    double t_mt = best(q.name, "hique-mt", hique_mt_conn,
                        [](const auto& r) { return r.exec_stats.execute_seconds; });
     if (failed) return 1;
     char speedup[32];
@@ -352,10 +358,12 @@ int main(int argc, char** argv) {
     bopts.gen_dir = env::ProcessTempDir() + "/fig8_bp_plain_gen";
     bopts.buffer_pool_pages = buffer_pages;
     HiqueEngine bp_plain(&cat_plain, bopts);
+    Session bp_plain_conn = bp_plain.OpenSession();
     EngineOptions bcopts = bopts;
     bcopts.gen_dir = env::ProcessTempDir() + "/fig8_bp_comp_gen";
     bcopts.compression = true;
     HiqueEngine bp_comp(&cat_comp, bcopts);
+    Session bp_comp_conn = bp_comp.OpenSession();
 
     bench::ResultPrinter ptable({"query", "uncompressed", "compressed",
                                  "comp speedup", "pool misses (unc/comp)",
@@ -364,17 +372,18 @@ int main(int argc, char** argv) {
       cur_sql = q.sql;
       int64_t rows_u = 0, rows_c = 0;
       exec::ExecStats st_u, st_c;
-      double t_u = best(q.name, "bp-uncompressed", bp_plain,
+      double t_u = best(q.name, "bp-uncompressed", bp_plain_conn,
                         [&](const auto& r) {
                           rows_u = r.NumRows();
                           st_u = r.exec_stats;
                           return r.exec_stats.execute_seconds;
                         });
-      double t_c = best(q.name, "bp-compressed", bp_comp, [&](const auto& r) {
-        rows_c = r.NumRows();
-        st_c = r.exec_stats;
-        return r.exec_stats.execute_seconds;
-      });
+      double t_c = best(q.name, "bp-compressed", bp_comp_conn,
+                        [&](const auto& r) {
+                          rows_c = r.NumRows();
+                          st_c = r.exec_stats;
+                          return r.exec_stats.execute_seconds;
+                        });
       if (failed) return 1;
       if (rows_u != rows_c) {
         std::printf("%s: capped-pool compressed run returned %lld rows, "

@@ -19,6 +19,7 @@ using namespace hique;
 struct Fixture {
   Catalog catalog;
   std::unique_ptr<HiqueEngine> hique;
+  Session hique_conn;
   std::unique_ptr<iter::VolcanoEngine> volcano;
   std::unique_ptr<col::ColumnEngine> column;
   std::string sql;
@@ -32,6 +33,7 @@ struct Fixture {
     EngineOptions eopts;
     eopts.gen_dir = env::ProcessTempDir() + "/microops";
     hique = std::make_unique<HiqueEngine>(&catalog, eopts);
+    hique_conn = hique->OpenSession();
     volcano =
         std::make_unique<iter::VolcanoEngine>(&catalog, iter::Mode::kGeneric);
     column = std::make_unique<col::ColumnEngine>(&catalog);
@@ -39,7 +41,7 @@ struct Fixture {
     sql = "select m_k, sum(m_a) as s, count(*) as c from m group by m_k";
     // Warm the compiled-query cache so the engine benchmark measures
     // execution, not compilation.
-    (void)hique->Query(sql);
+    (void)hique_conn.Query(sql);
   }
 };
 
@@ -108,7 +110,7 @@ BENCHMARK(BM_BTreeLookup);
 void BM_EngineHique(benchmark::State& state) {
   Fixture& f = GetFixture();
   for (auto _ : state) {
-    auto r = f.hique->Query(f.sql);
+    auto r = f.hique_conn.Query(f.sql);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     benchmark::DoNotOptimize(r.value().NumRows());
   }

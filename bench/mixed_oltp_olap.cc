@@ -66,6 +66,7 @@ std::vector<ReaderStats> RunReaders(HiqueEngine* engine, int readers,
   threads.reserve(readers);
   for (int i = 0; i < readers; ++i) {
     threads.emplace_back([engine, seconds, stop_early, s = &stats[i]] {
+      Session conn = engine->OpenSession();  // one client per reader
       const std::string q1 = tpch::Query1Sql();
       const std::string q6 = tpch::Query6Sql();
       auto end = std::chrono::steady_clock::now() +
@@ -75,7 +76,7 @@ std::vector<ReaderStats> RunReaders(HiqueEngine* engine, int readers,
              !stop_early->load(std::memory_order_relaxed)) {
         flip = !flip;
         WallTimer t;
-        auto r = engine->Query(flip ? q1 : q6);
+        auto r = conn.Query(flip ? q1 : q6);
         if (!r.ok()) {
           ++s->errors;
           std::printf("reader error: %s\n", r.status().ToString().c_str());
@@ -126,10 +127,11 @@ int main(int argc, char** argv) {
   eopts.tiered_compilation = false;
   eopts.compile.opt_level = 2;
   HiqueEngine engine(&catalog, eopts);
+  Session conn = engine.OpenSession();
 
   // Warm the plan cache so both phases measure cache-hit latency.
   for (const std::string& q : {tpch::Query1Sql(), tpch::Query6Sql()}) {
-    auto r = engine.Query(q);
+    auto r = conn.Query(q);
     if (!r.ok()) {
       std::printf("warmup failed: %s\n", r.status().ToString().c_str());
       return 1;
@@ -152,7 +154,7 @@ int main(int argc, char** argv) {
       tpch::RefreshBatch rf2 = tpch::MakeRf2(sf, /*seed=*/42, stream);
       for (const auto& batch : {&rf1, &rf2}) {
         for (const std::string& stmt : batch->statements) {
-          auto r = engine.Query(stmt);
+          auto r = conn.Query(stmt);
           if (!r.ok()) {
             writer_errors.fetch_add(1, std::memory_order_relaxed);
             std::printf("writer error: %s\n", r.status().ToString().c_str());

@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
       eopts.compile.opt_level = opt;
       eopts.cache_compiled = false;
       HiqueEngine engine(&catalog, eopts);
-      auto res = engine.Query(q.sql);
+      Session conn = engine.OpenSession();
+      auto res = conn.Query(q.sql);
       if (!res.ok()) {
         std::printf("%s: %s\n", q.name, res.status().ToString().c_str());
         return 1;
@@ -90,13 +91,15 @@ int main(int argc, char** argv) {
       eopts.compile.opt_level = 2;
       eopts.tiered_compilation = false;  // measure the -O2 tier directly
       HiqueEngine engine(&catalog, eopts);
+      Session conn = engine.OpenSession();
 
       {
         EngineOptions one_shot = eopts;
         one_shot.cache_compiled = false;
         HiqueEngine fresh(&catalog, one_shot);
+        Session fresh_conn = fresh.OpenSession();
         WallTimer full_timer;
-        auto full = fresh.Query(q.sql);
+        auto full = fresh_conn.Query(q.sql);
         full_query_ms = full_timer.ElapsedMillis();
         if (!full.ok()) {
           std::printf("%s: %s\n", q.name, full.status().ToString().c_str());
@@ -104,7 +107,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      auto stmt = engine.Prepare(q.sql);
+      auto stmt = conn.Prepare(q.sql);
       if (!stmt.ok()) {
         std::printf("%s: %s\n", q.name, stmt.status().ToString().c_str());
         return 1;
@@ -114,7 +117,7 @@ int main(int argc, char** argv) {
         // Wall-clock around the whole Execute call: parameter binding +
         // execution (the engine's execute_ms alone excludes binding).
         WallTimer exec_timer;
-        auto r = engine.Execute(stmt.value());
+        auto r = conn.Execute(stmt.value());
         double elapsed_ms = exec_timer.ElapsedMillis();
         if (!r.ok()) {
           std::printf("%s: %s\n", q.name, r.status().ToString().c_str());

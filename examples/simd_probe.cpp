@@ -33,7 +33,9 @@ int main(int argc, char** argv) {
     return o;
   };
   HiqueEngine scalar(&catalog, mk(false, "/probe_s"));
+  Session scalar_conn = scalar.OpenSession();
   HiqueEngine simd(&catalog, mk(true, "/probe_v"));
+  Session simd_conn = simd.OpenSession();
   struct Spec { const char* name; std::string sql; };
   Spec specs[] = {
       {"li_stream", "select sum(l_quantity) as s from lineitem"},
@@ -52,8 +54,8 @@ int main(int argc, char** argv) {
   for (const Spec& s : specs) {
     double ts = 1e100, tv = 1e100;
     for (int r = 0; r < 7; ++r) {
-      auto a = scalar.Query(s.sql);
-      auto b = simd.Query(s.sql);
+      auto a = scalar_conn.Query(s.sql);
+      auto b = simd_conn.Query(s.sql);
       if (!a.ok() || !b.ok()) { std::printf("%s failed\n", s.name); return 1; }
       ts = std::min(ts, a.value().exec_stats.execute_seconds);
       tv = std::min(tv, b.value().exec_stats.execute_seconds);

@@ -164,15 +164,12 @@ HiqueEngine::HiqueEngine(Catalog* catalog, EngineOptions options)
       if (t.ok()) (void)t.value()->Compress();
     }
   }
-  default_session_ = OpenSession({});
 }
 
 HiqueEngine::~HiqueEngine() {
-  // Wind down client work first: cancel the default session's in-flight
-  // queries, then stop the admission scheduler (queued jobs settle as
-  // cancelled, running ones finish and their runner threads join) while
-  // the worker pool and compiled libraries are still alive.
-  default_session_.Close();
+  // Wind down client work first: stop the admission scheduler (queued jobs
+  // settle as cancelled, running ones finish and their runner threads join)
+  // while the worker pool and compiled libraries are still alive.
   {
     // Stop the compactor before anything else: its worker dereferences the
     // catalog, which must outlive it.
@@ -372,8 +369,9 @@ std::shared_ptr<exec::CompiledLibrary> HiqueEngine::PeekLibrary(
 
 Result<std::shared_ptr<exec::CompiledLibrary>> HiqueEngine::GetOrCompile(
     const std::string& signature, const plan::PhysicalPlan& plan,
-    bool cacheable, QueryTimings* timings, bool* cache_hit) {
+    QueryTimings* timings, bool* cache_hit) {
   *cache_hit = false;
+  const bool cacheable = this->cacheable();
   if (cacheable) {
     std::lock_guard<std::mutex> lk(mu_);
     if (auto lib = LookupCacheLocked(signature)) {
@@ -486,11 +484,6 @@ hique::CacheStats HiqueEngine::CacheStats() const {
   return StatsSnapshotLocked();
 }
 
-size_t HiqueEngine::CompiledCacheSize() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return cache_.size();
-}
-
 namespace {
 
 /// True when two parameter tables lay out their banks identically (same
@@ -516,14 +509,11 @@ bool SameParamLayout(const plan::ParamTable& a, const plan::ParamTable& b) {
 
 Result<std::shared_ptr<const PreparedStatement::State>>
 HiqueEngine::PrepareState(const std::string& sql,
-                          const plan::PlannerOptions& planner, bool cacheable,
-                          bool force_hybrid_agg, bool allow_placeholders) {
-  // max_cached_queries == 0 disables caching outright.
-  cacheable = cacheable && options_.max_cached_queries > 0;
+                          const plan::PlannerOptions& planner,
+                          bool allow_placeholders) {
   auto state = std::make_shared<PreparedStatement::State>();
   state->sql = sql;
   state->planner = planner;
-  state->cacheable = cacheable;
 
   WallTimer timer;
   HQ_ASSIGN_OR_RETURN(auto stmt, sql::Parse(sql));
@@ -543,11 +533,7 @@ HiqueEngine::PrepareState(const std::string& sql,
     return Status::BindError(
         "query contains ? placeholders; use Prepare/Execute to bind values");
   }
-  plan::PlannerOptions effective = planner;
-  if (force_hybrid_agg) {
-    effective.force_agg_algo = plan::AggAlgo::kHybridHashSort;
-  }
-  HQ_ASSIGN_OR_RETURN(auto plan, plan::Optimize(std::move(bound), effective));
+  HQ_ASSIGN_OR_RETURN(auto plan, plan::Optimize(std::move(bound), planner));
   // Hoist literal constants into the plan's parameter table, then key the
   // compiled-query cache on the literal-free structural signature.
   // Placeholders must live in the parameter block even when constant
@@ -576,7 +562,7 @@ HiqueEngine::PrepareState(const std::string& sql,
 
   bool hit = false;
   HQ_ASSIGN_OR_RETURN(state->library,
-                      GetOrCompile(state->signature, *plan, cacheable,
+                      GetOrCompile(state->signature, *plan,
                                    &state->prepare_timings, &hit));
   state->cache_hit = hit;
   state->plan = std::move(plan);
@@ -592,7 +578,7 @@ void HiqueEngine::InstallOverflowAlias(
   // signature too — they then skip the failing execution entirely. Safe
   // only when both plans bind identical parameter banks, which the layout
   // check guarantees for every future literal variant.
-  if (!fallback.cacheable || failed_signature.empty() ||
+  if (!cacheable() || failed_signature.empty() ||
       !SameParamLayout(failed_params, fallback.plan->params)) {
     return;
   }

@@ -99,8 +99,8 @@ struct EngineOptions {
   // faster): cacheable queries first compile at tier0_opt_level for low
   // first-execution latency, then a background worker recompiles at
   // compile.opt_level and atomically swaps the library under the same
-  // signature. Uncacheable queries (QueryWithPlanner, caching disabled)
-  // compile directly at compile.opt_level.
+  // signature. With caching disabled, queries compile directly at
+  // compile.opt_level.
   bool tiered_compilation = true;
   int tier0_opt_level = 0;
   std::string gen_dir;           // defaults to a process temp dir
@@ -304,9 +304,9 @@ class ResultSet {
   /// releases all pages. Idempotent; the destructor calls it.
   void Close();
 
-  /// Drains the remaining rows into a materialized QueryResult (the
-  /// blocking Query/Execute APIs are exactly open-stream + Materialize).
-  /// Rows already consumed through Next() are not replayed.
+  /// Drains the remaining rows into a materialized QueryResult — the same
+  /// rows, bytes and metadata the blocking Query/Execute return. Rows
+  /// already consumed through Next() are not replayed.
   Result<QueryResult> Materialize();
 
   /// Metadata known at open time.
@@ -420,15 +420,21 @@ class Session {
   const SessionOptions& options() const;
   HiqueEngine* engine() const;
 
-  /// Blocking evaluation — thin wrappers: open a streaming cursor, drain
-  /// it (page-at-a-time) into a materialized QueryResult. Semantically
-  /// identical to the pre-session HiqueEngine::Query/Execute.
+  /// Blocking evaluation: the statement runs on the calling thread and its
+  /// result pages are adopted straight into the returned table. Same
+  /// pipeline, retries and result bytes as the cursor surfaces. SQL with
+  /// `?` placeholders must go through Prepare/Execute; Execute skips
+  /// parse/optimize/compile (timings report only execute_ms) and picks up
+  /// the tier-upgraded library once the background worker swapped it in.
   Result<QueryResult> Query(const std::string& sql);
   Result<QueryResult> Execute(const PreparedStatement& stmt,
                               const std::vector<Value>& values = {});
 
-  /// Prepares with this session's planner options; the statement shares
-  /// the engine-wide compiled-plan cache.
+  /// Parses, optimizes and compiles `sql` once with this session's planner
+  /// options, binding `?` placeholders to parameter-table slots (types
+  /// inferred from their comparison/arithmetic context). The statement
+  /// shares the engine-wide compiled-plan cache: preparing a template
+  /// another query already compiled is a hit.
   Result<PreparedStatement> Prepare(const std::string& sql);
 
   /// Streaming evaluation: returns a cursor after parse/optimize/compile;
@@ -474,11 +480,12 @@ class Session {
 /// canonical plan signature, so `... WHERE l_quantity < 24` and `... < 25`
 /// share one compiled library and only the parameter block differs.
 ///
-/// Thread-safe: Query / QueryWithPlanner / Prepare / Execute may be called
-/// concurrently. The cache holds shared_ptr<CompiledLibrary> entries, so an
-/// eviction or tier swap never unloads a library mid-execution; concurrent
-/// misses on one signature may compile twice (both results are valid, the
-/// later insert wins). Base tables must not be mutated during queries;
+/// Statements run through Sessions (OpenSession); sessions and their
+/// statements may run concurrently. The cache holds
+/// shared_ptr<CompiledLibrary> entries, so an eviction or tier swap never
+/// unloads a library mid-execution; concurrent misses on one signature may
+/// compile twice (both results are valid, the later insert wins). Base
+/// tables must not be mutated during queries;
 /// file-backed tables share a mutex-protected BufferManager, so they can
 /// be pinned from concurrent and parallel executions too.
 class HiqueEngine {
@@ -517,33 +524,11 @@ class HiqueEngine {
     return static_cast<uint32_t>(threads);
   }
 
-  /// Opens a client session with per-session defaults/overrides. Sessions
-  /// are the full client API (blocking, streaming, async); the engine-level
-  /// Query/Execute below are conveniences that run on an internal default
-  /// session. Sessions must be closed (or dropped) before the engine is
-  /// destroyed.
+  /// Opens a client session with per-session defaults/overrides: the only
+  /// way to run statements (blocking, streaming, async). Planner sweeps
+  /// (the paper's §VI-B) pin algorithms with SessionOptions::override_planner.
+  /// Sessions must be closed (or dropped) before the engine is destroyed.
   Session OpenSession(SessionOptions options = {});
-
-  /// Evaluates one SELECT statement end to end. SQL containing `?`
-  /// placeholders must go through Prepare/Execute instead. Implemented as
-  /// open-stream + drain on the default session; results are bit-identical
-  /// to the streaming path.
-  Result<QueryResult> Query(const std::string& sql);
-
-  /// Same, with per-query planner overrides (used by the benchmarks to pin
-  /// specific algorithms, as the paper's §VI-B sweeps do). Bypasses the
-  /// compiled-query cache so sweeps always measure a fresh compile; the
-  /// artefacts are deleted after execution unless keep_source is set.
-  Result<QueryResult> QueryWithPlanner(const std::string& sql,
-                                       const plan::PlannerOptions& planner);
-
-  /// Executes one DML statement (INSERT INTO ... VALUES / UPDATE ... SET /
-  /// DELETE FROM) through the interpreted write path: the row lands in (or
-  /// is masked out of) the target table's delta store, concurrent compiled
-  /// scans keep reading their admission-time snapshots, and the background
-  /// compactor is nudged afterwards. Returns rows affected. Session::Query
-  /// and the streaming/async paths route DML here automatically.
-  Result<uint64_t> ExecuteDml(const std::string& sql);
 
   /// The background delta compactor (lazily started on first use). Folds
   /// write-heavy tables' deltas into fresh base pages, re-runs the codec
@@ -551,34 +536,14 @@ class HiqueEngine {
   /// cached plans over the old layout invalidate.
   txn::Compactor* compactor();
 
-  /// Convenience: SubmitAsync on the default session.
-  QueryHandle SubmitAsync(const std::string& sql);
-
   /// Drains/undrains the async admission scheduler: while paused,
   /// submitted queries queue up (in stride order) without dispatching.
   /// Used for maintenance windows and deterministic scheduling tests.
   void PauseAdmission();
   void ResumeAdmission();
 
-  /// Parses, optimizes and compiles `sql` once, binding `?` placeholders to
-  /// parameter-table slots (types inferred from their comparison/arithmetic
-  /// context). The returned statement shares the signature-keyed cache with
-  /// Query(): preparing a template another query already compiled is a hit.
-  Result<PreparedStatement> Prepare(const std::string& sql);
-
-  /// Executes a prepared statement with one value per `?` placeholder
-  /// (lexical order). Skips parse/optimize/signature entirely — timings
-  /// report zero for every phase but execution — and runs through the
-  /// statement's pinned entry point: no dlopen/dlsym. Picks up the
-  /// tier-upgraded library when the background worker has swapped one in.
-  Result<QueryResult> Execute(const PreparedStatement& stmt,
-                              const std::vector<Value>& values = {});
-
   /// Cache counters (hits / misses / evictions / tier-upgrades / entries).
   hique::CacheStats CacheStats() const;
-
-  /// Number of distinct compiled queries currently cached.
-  size_t CompiledCacheSize() const;
 
   /// Blocks until every scheduled background tier recompilation has been
   /// processed (swapped in or abandoned). Benchmarks and tests use this to
@@ -625,17 +590,24 @@ class HiqueEngine {
     std::weak_ptr<exec::CompiledLibrary> origin;
   };
 
+  /// Executes one DML statement (INSERT INTO ... VALUES / UPDATE ... SET /
+  /// DELETE FROM) through the interpreted write path: the row lands in (or
+  /// is masked out of) the target table's delta store, concurrent compiled
+  /// scans keep reading their admission-time snapshots, and the background
+  /// compactor is nudged afterwards. Returns rows affected. The session
+  /// layer routes every DML statement here.
+  Result<uint64_t> ExecuteDml(const std::string& sql);
+
   /// Parses/optimizes/parameterizes/compiles into a prepared state — the
   /// one front half shared by every evaluation path (blocking, streaming,
-  /// async, prepared). `force_hybrid_agg` is the stale-statistics fallback
-  /// used when map aggregation overflowed; `allow_placeholders` is false
-  /// for direct Query paths (`?` requires Prepare/Execute). The plan
+  /// async, prepared) and by every replan. `allow_placeholders` is false
+  /// for SQL-text statements (`?` requires Prepare/Execute). The plan
   /// signature is prefixed with the catalog statistics version, so a stats
   /// refresh re-keys the cache and stale compiled libraries age out by LRU
   /// instead of being served.
   Result<std::shared_ptr<const PreparedStatement::State>> PrepareState(
       const std::string& sql, const plan::PlannerOptions& planner,
-      bool cacheable, bool force_hybrid_agg, bool allow_placeholders);
+      bool allow_placeholders);
 
   /// Stale-statistics repair: after a map-overflow restart succeeded, alias
   /// the working hybrid-aggregation library under the overflowing plan's
@@ -652,11 +624,16 @@ class HiqueEngine {
   /// Cache lookup / compile-on-miss. On a hit the entry moves to the LRU
   /// front and `cache_hit` is set; on a miss the plan is compiled (at the
   /// tier-0 level when tiered compilation applies), inserted, and a
-  /// background tier upgrade is scheduled. With `cacheable` false, compiles
+  /// background tier upgrade is scheduled. With caching disabled, compiles
   /// a private library at full opt level without touching the cache.
   Result<std::shared_ptr<exec::CompiledLibrary>> GetOrCompile(
       const std::string& signature, const plan::PhysicalPlan& plan,
-      bool cacheable, QueryTimings* timings, bool* cache_hit);
+      QueryTimings* timings, bool* cache_hit);
+
+  /// EngineOptions::cache_compiled with a nonzero cache bound.
+  bool cacheable() const {
+    return options_.cache_compiled && options_.max_cached_queries > 0;
+  }
 
   /// Returns the cached library for `signature` (moving it to the LRU
   /// front), or null. Does not count a hit/miss.
@@ -675,7 +652,7 @@ class HiqueEngine {
   void TierWorkerLoop();
   hique::CacheStats StatsSnapshotLocked() const;
 
-  /// Lazily creates the admission controller (first SubmitAsync).
+  /// Lazily creates the admission controller (first admitted statement).
   exec::AdmissionController* admission();
 
   Catalog* catalog_;
@@ -713,9 +690,6 @@ class HiqueEngine {
   // joined early in ~HiqueEngine, while the catalog is still valid).
   std::mutex compactor_mu_;
   std::unique_ptr<txn::Compactor> compactor_;
-
-  // The session behind the engine-level Query/Execute conveniences.
-  Session default_session_;
 
   // Bounded slow-statement ring (see EngineOptions::slow_query_ms).
   obs::SlowQueryLog slow_log_;

@@ -1,7 +1,5 @@
 #include "exec/executor.h"
 
-#include <dlfcn.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cassert>
@@ -26,9 +24,6 @@ static_assert(sizeof(HqPage) == sizeof(Page),
 
 namespace {
 
-constexpr const char* kMapOverflowMsg = "map aggregation directory overflow";
-constexpr const char* kStalePlanMsg =
-    "plan is stale: table layout changed since preparation";
 constexpr const char* kCancelledMsg = "query cancelled";
 
 /// The streaming result sink behind ctx->result_new_page. The generated
@@ -153,18 +148,6 @@ struct StreamSink {
     for (Page* p : bulk) std::free(p);
     bulk.clear();
   }
-};
-
-class DlHandle {
- public:
-  explicit DlHandle(void* h) : handle_(h) {}
-  ~DlHandle() {
-    if (handle_ != nullptr) dlclose(handle_);
-  }
-  void* get() const { return handle_; }
-
- private:
-  void* handle_;
 };
 
 /// Engine-side listener behind the operator-boundary marks the generated
@@ -364,14 +347,6 @@ struct ParallelService {
 
 }  // namespace
 
-bool IsMapOverflow(const Status& status) {
-  return !status.ok() && status.message() == kMapOverflowMsg;
-}
-
-bool IsStalePlan(const Status& status) {
-  return !status.ok() && status.message() == kStalePlanMsg;
-}
-
 bool IsCancelled(const Status& status) {
   return !status.ok() && status.message() == kCancelledMsg;
 }
@@ -448,32 +423,6 @@ Status BindParamValues(const plan::ParamTable& params,
   return Status::OK();
 }
 
-Result<std::unique_ptr<Table>> ExecuteCompiled(const plan::PhysicalPlan& plan,
-                                               HqEntryFn entry,
-                                               const HqParams* params,
-                                               ExecStats* stats,
-                                               const ParallelRuntime& par) {
-  return ExecuteEntryOnTables(plan.query->tables, plan.output_schema, entry,
-                              params, stats, par);
-}
-
-Result<std::unique_ptr<Table>> ExecuteLibraryOnTables(
-    const std::vector<Table*>& tables, const Schema& output_schema,
-    const std::string& library_path, const std::string& entry_symbol,
-    const HqParams* params, ExecStats* stats, const ParallelRuntime& par) {
-  DlHandle handle(dlopen(library_path.c_str(), RTLD_NOW | RTLD_LOCAL));
-  if (handle.get() == nullptr) {
-    return Status::ExecError(std::string("dlopen failed: ") + dlerror());
-  }
-  auto entry =
-      reinterpret_cast<HqEntryFn>(dlsym(handle.get(), entry_symbol.c_str()));
-  if (entry == nullptr) {
-    return Status::ExecError("entry symbol not found: " + entry_symbol);
-  }
-  return ExecuteEntryOnTables(tables, output_schema, entry, params, stats,
-                              par);
-}
-
 Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
                                       const Schema& output_schema,
                                       HqEntryFn entry, const HqParams* params,
@@ -512,7 +461,9 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
       // The page encoding moved under the plan (a Compress/Decompress
       // rewrite raced the lookup). Fail before running any generated code;
       // the session re-prepares against the current layout and retries.
-      return Status::ExecError(kStalePlanMsg);
+      if (stats != nullptr) stats->retry = RetryReason::kStalePlan;
+      return Status::ExecError(
+          "plan is stale: table layout changed since preparation");
     }
     page_ptrs[t].reserve(pinned[t].pages().size());
     for (Page* p : pinned[t].pages()) {
@@ -624,7 +575,8 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
     sink.DiscardCurrent();
     switch (ctx.error) {
       case HQ_ERR_MAP_OVERFLOW:
-        return Status::ExecError(kMapOverflowMsg);
+        if (stats != nullptr) stats->retry = RetryReason::kMapOverflow;
+        return Status::ExecError("map aggregation directory overflow");
       case HQ_ERR_OOM:
         return Status::ExecError("generated code ran out of memory");
       case HQ_ERR_CANCELLED:
@@ -674,10 +626,10 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
   return rows;
 }
 
-Result<std::unique_ptr<Table>> ExecuteEntryOnTables(
+Result<std::unique_ptr<Table>> ExecuteEntryToTable(
     const std::vector<Table*>& tables, const Schema& output_schema,
     HqEntryFn entry, const HqParams* params, ExecStats* stats,
-    const ParallelRuntime& par) {
+    const ParallelRuntime& par, const std::vector<uint64_t>* expected_layouts) {
   auto result = std::make_unique<Table>("result", output_schema);
   Status adopt_status;
   auto on_page = [&](Page* page) {
@@ -689,7 +641,8 @@ Result<std::unique_ptr<Table>> ExecuteEntryOnTables(
     return true;
   };
   auto rows = ExecuteEntryStreaming(tables, output_schema, entry, params,
-                                    stats, par, on_page);
+                                    stats, par, on_page, /*alloc_page=*/{},
+                                    expected_layouts);
   if (!adopt_status.ok()) return adopt_status;
   if (!rows.ok()) return rows.status();
   return result;

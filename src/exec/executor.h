@@ -37,6 +37,16 @@ struct OpStat {
   bool cycles_valid = false;   // false => render cycles as "n/a"
 };
 
+/// Why a failed execution may succeed after a replan. Typed, so that no
+/// retry depends on the wording of an error message.
+enum class RetryReason {
+  kNone,         // success, or a failure no replan repairs
+  kMapOverflow,  // map-aggregation directory overflow (stale statistics):
+                 // replan with hybrid aggregation
+  kStalePlan,    // a table's page layout changed (compaction / compression
+                 // rewrite) between preparation and pinning: re-prepare
+};
+
 struct ExecStats {
   int64_t rows = 0;
   double execute_seconds = 0;
@@ -65,6 +75,9 @@ struct ExecStats {
   // op stats (ParallelRuntime::collect_op_stats — EXPLAIN ANALYZE, the
   // engine's trace_spans option, or the benches).
   std::vector<OpStat> ops;
+  // Set on failure when a replan can repair it; the session retries only
+  // while no result page has reached the consumer.
+  RetryReason retry = RetryReason::kNone;
 };
 
 /// Intra-query parallelism wiring for one execution. Defaults describe the
@@ -95,21 +108,9 @@ struct ParallelRuntime {
   bool collect_op_cycles = false;
 };
 
-/// Returns true when the failure is the map-aggregation directory overflow
-/// signal (stale statistics); the engine reacts by re-planning with hybrid
-/// aggregation.
-bool IsMapOverflow(const Status& status);
-
 /// Returns true when the failure is a client-requested cancellation
 /// (ParallelRuntime::cancel flag, closed cursor, QueryHandle::Cancel).
 bool IsCancelled(const Status& status);
-
-/// Returns true when the failure is the stale-plan signal: a table's page
-/// layout changed (compaction / compression rewrite) between plan lookup
-/// and pinning. The session reacts by re-preparing against the new layout
-/// and retrying — safe because staleness is detected before any result
-/// page is delivered.
-bool IsStalePlan(const Status& status);
 
 /// The runtime materialization of a plan's ParamTable: owning storage for
 /// the banks plus the ABI view handed to generated code. The abi pointers
@@ -135,32 +136,6 @@ void BindParams(const plan::ParamTable& params, BoundParams* out);
 Status BindParamValues(const plan::ParamTable& params,
                        const std::vector<Value>& values, BoundParams* out);
 
-/// Runs an already-resolved query entry point (see exec::CompiledLibrary)
-/// with the given parameter block (may be null): pins all base tables in
-/// memory, executes, and returns the result as an in-memory table with the
-/// plan's output schema. The cache-hit hot path — no dlopen/dlsym. `par`
-/// selects the worker pool / thread budget; the default runs serially.
-Result<std::unique_ptr<Table>> ExecuteCompiled(const plan::PhysicalPlan& plan,
-                                               HqEntryFn entry,
-                                               const HqParams* params,
-                                               ExecStats* stats,
-                                               const ParallelRuntime& par = {});
-
-/// Lower-level entry points: run a compiled query against an explicit table
-/// list (used by the §VI-A microbenchmark variants, which bypass the SQL
-/// front end). The library_path variant dlopens per call; the HqEntryFn
-/// variant executes a preloaded entry.
-Result<std::unique_ptr<Table>> ExecuteLibraryOnTables(
-    const std::vector<Table*>& tables, const Schema& output_schema,
-    const std::string& library_path, const std::string& entry_symbol,
-    const HqParams* params, ExecStats* stats,
-    const ParallelRuntime& par = {});
-
-Result<std::unique_ptr<Table>> ExecuteEntryOnTables(
-    const std::vector<Table*>& tables, const Schema& output_schema,
-    HqEntryFn entry, const HqParams* params, ExecStats* stats,
-    const ParallelRuntime& par = {});
-
 /// Receives ownership of one completed, zeroed, page-aligned result page
 /// (free with std::free, or hand to Table::AdoptPage). Invoked on the
 /// executing thread, in emission order. Return false to cancel the query:
@@ -178,13 +153,15 @@ using PageAllocFn = std::function<Page*()>;
 /// entry, and hands each result page to `on_page` as soon as the generated
 /// code completes it — the full result is never materialized inside the
 /// executor, so peak result memory is the pages the consumer holds plus the
-/// single page being filled. Returns the row count. All other Execute*
-/// entry points are wrappers that collect the delivered pages into a Table.
+/// single page being filled. Returns the row count. The one execution entry:
+/// every host (session cursors, the blocking drain, the §VI-A variants)
+/// runs generated code through it, and it always installs both the
+/// incremental and the bulk result-page callbacks.
 ///
 /// `expected_layouts`, when non-null, carries the per-table physical-layout
 /// versions the plan was prepared against (same order as `tables`); if a
-/// pinned snapshot reports a different version the call fails with the
-/// stale-plan signal (see IsStalePlan) before executing any generated code.
+/// pinned snapshot reports a different version the call fails with
+/// RetryReason::kStalePlan before executing any generated code.
 /// Layout-preserving compactions do not bump the version (generated NSM
 /// scan loops are still valid over the freshly folded pages).
 Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
@@ -196,6 +173,16 @@ Result<int64_t> ExecuteEntryStreaming(const std::vector<Table*>& tables,
                                       const PageAllocFn& alloc_page = {},
                                       const std::vector<uint64_t>*
                                           expected_layouts = nullptr);
+
+/// ExecuteEntryStreaming with every result page adopted into an in-memory
+/// table (output_schema) as it arrives, on the calling thread: no handoff
+/// queue and no copy. The blocking session drain and the §VI-A variants
+/// collect results through it.
+Result<std::unique_ptr<Table>> ExecuteEntryToTable(
+    const std::vector<Table*>& tables, const Schema& output_schema,
+    HqEntryFn entry, const HqParams* params, ExecStats* stats,
+    const ParallelRuntime& par = {},
+    const std::vector<uint64_t>* expected_layouts = nullptr);
 
 }  // namespace hique::exec
 

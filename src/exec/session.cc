@@ -1,9 +1,9 @@
-// The session layer: Session / ResultSet / QueryHandle implementations plus
-// the HiqueEngine client-facing wrappers built on them. The blocking
-// Query/Execute APIs are open-stream + drain over the same streaming
-// machinery the cursors use, so every path shares one execution pipeline
-// and the materialized and streamed results are bit-identical by
-// construction.
+// The session layer: Session / ResultSet / QueryHandle implementations and
+// the one statement pipeline behind them. Every surface describes its
+// statement as a StatementDesc and opens it through SessionImpl::Open; the
+// blocking surfaces then run it on the calling thread, the cursors on a
+// producer thread, and both end every run in the same retry decision — so
+// the materialized and streamed results are bit-identical by construction.
 
 #include <algorithm>
 #include <cstdlib>
@@ -236,18 +236,13 @@ void RecordStatementDone(ResultSet::Stream* s, int64_t rows) {
       total >= engine->slow_query_ms()) {
     m.slow->Increment();
     obs::SlowQueryEntry entry;
-    entry.sql = (!s->sql.empty() || s->state == nullptr) ? s->sql
-                                                         : s->state->sql;
+    entry.sql = s->state->sql;
     entry.signature = s->plan_signature;
     entry.total_ms = total;
     entry.span_summary = obs::SpanSummaryLine(s->timings, s->stats);
     engine->slow_log()->Record(std::move(entry));
   }
 }
-
-}  // namespace
-
-namespace {
 
 Status SessionClosedError() {
   return Status::ExecError("session is closed");
@@ -274,7 +269,12 @@ Status SessionImpl::RegisterStream(
   return Status::OK();
 }
 
-void SessionImpl::FillStreamMeta(ResultSet::Stream* s) {
+void SessionImpl::AdoptState(ResultSet::Stream* s) {
+  // Prefer the cache's current library for this signature: the background
+  // worker may have swapped in the -O2 tier since preparation. The state's
+  // pinned library is the eviction-proof fallback.
+  s->library = s->engine->PeekLibrary(s->state->signature);
+  if (s->library == nullptr) s->library = s->state->library;
   s->schema = s->state->plan->output_schema;
   s->tuple_size = s->schema.TupleSize();
   s->plan_signature = s->state->signature;
@@ -285,35 +285,164 @@ void SessionImpl::FillStreamMeta(ResultSet::Stream* s) {
   if (s->engine->options().keep_source) {
     s->generated_source = s->library->source();
   }
+  // A prepared execution never parses, plans or compiles — its timings
+  // report execution only, and it counts as a cache hit.
+  if (s->statement == nullptr) {
+    s->cache_hit = s->state->cache_hit;
+    s->timings = s->state->prepare_timings;
+  }
 }
 
-exec::ParallelRuntime SessionImpl::RuntimeFor(const Session::State& s,
-                                              std::atomic<int32_t>* cancel) {
-  exec::ParallelRuntime par;
-  par.pool =
-      s.options.threads == 1 ? nullptr : s.engine->worker_pool_.get();
-  par.arena_limit_bytes =
-      s.options.arena_limit_bytes == SessionOptions::kInheritArenaLimit
-          ? s.engine->options().arena_limit_bytes
-          : s.options.arena_limit_bytes;
-  par.cancel = cancel;
-  par.priority = s.options.priority;
-  return par;
+Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::Open(
+    const std::shared_ptr<Session::State>& session, const StatementDesc& desc,
+    std::atomic<int32_t>* external_cancel) {
+  {
+    std::lock_guard<std::mutex> lk(session->mu);
+    if (session->closed) return SessionClosedError();
+  }
+  auto s = std::make_unique<ResultSet::Stream>();
+  s->engine = session->engine;
+  s->session = session;
+  s->external_cancel = external_cancel;
+  if (desc.prepared) {
+    if (desc.statement == nullptr) {
+      return Status::BindError(
+          "invalid (default-constructed) PreparedStatement");
+    }
+    s->statement = desc.statement;
+    s->values = desc.values;
+    s->cache_hit = true;
+  }
+  const std::string& sql = desc.prepared ? desc.statement->sql : desc.sql;
+
+  bool analyze = false;
+  std::string inner;
+  if (!desc.prepared && sql::ParseExplainPrefix(sql, &analyze, &inner)) {
+    HQ_RETURN_IF_ERROR(Explain(s.get(), inner, analyze));
+    return s;
+  }
+  if (desc.prepared ? desc.statement->is_dml : sql::IsDmlStatement(sql)) {
+    // Writes bypass the compiled-query machinery: the statement executes
+    // before any cursor exists, and every consumer — row loop, page loop,
+    // Materialize, the wire server's pump — sees an immediate clean end of
+    // stream with rows_affected set.
+    if (!s->values.empty()) {
+      return Status::BindError("DML statements take no parameter values");
+    }
+    WallTimer timer;
+    HQ_ASSIGN_OR_RETURN(uint64_t affected, s->engine->ExecuteDml(sql));
+    s->is_dml = true;
+    s->rows_affected = static_cast<int64_t>(affected);
+    s->plan_text = "dml";
+    s->done = true;
+    s->timings.execute_ms = timer.ElapsedMillis();
+    return s;
+  }
+  if (desc.prepared) {
+    // Start from the statement's latest replan, if any: it already skips a
+    // known-doomed map plan or matches the current table layouts.
+    std::lock_guard<std::mutex> lk(desc.statement->replacement_mu);
+    s->state = desc.statement->replacement != nullptr
+                   ? desc.statement->replacement
+                   : desc.statement;
+  } else {
+    HQ_ASSIGN_OR_RETURN(s->state,
+                        s->engine->PrepareState(sql, session->planner,
+                                                /*allow_placeholders=*/false));
+  }
+  AdoptState(s.get());
+  s->exec_timer.Restart();
+  return s;
 }
 
-Status SessionImpl::Launch(ResultSet::Stream* s) {
-  if (s->is_execute) {
+Result<PreparedStatement> SessionImpl::Prepare(
+    const std::shared_ptr<Session::State>& session, const std::string& sql) {
+  bool analyze = false;
+  std::string inner;
+  if (sql::ParseExplainPrefix(sql, &analyze, &inner)) {
+    // EXPLAIN is a one-shot diagnostic: its output depends on transient
+    // cache state, so a prepared handle would lie on re-execution.
+    return Status::BindError("EXPLAIN cannot be prepared; run it with Query()");
+  }
+  PreparedStatement prepared;
+  if (sql::IsDmlStatement(sql)) {
+    // Validate now (typed parse/placeholder errors surface at Prepare, as
+    // they do for reads) but execute per-Execute: DML compiles nothing, so
+    // the prepared state is just the validated statement text.
+    HQ_RETURN_IF_ERROR(sql::ParseDml(sql).status());
+    auto state = std::make_shared<PreparedStatement::State>();
+    state->sql = sql;
+    state->signature = "dml";
+    state->plan_text = "dml";
+    state->is_dml = true;
+    prepared.state_ = std::move(state);
+    return prepared;
+  }
+  HQ_ASSIGN_OR_RETURN(prepared.state_,
+                      session->engine->PrepareState(
+                          sql, session->planner, /*allow_placeholders=*/true));
+  return prepared;
+}
+
+StatementDesc SessionImpl::Describe(const PreparedStatement& stmt,
+                                    const std::vector<Value>& values) {
+  return StatementDesc(stmt.state_, values);
+}
+
+Result<ResultSet> SessionImpl::OpenCursor(
+    const std::shared_ptr<Session::State>& session,
+    const StatementDesc& desc) {
+  HQ_ASSIGN_OR_RETURN(auto stream, Open(session, desc, nullptr));
+  if (!stream->done && stream->core == nullptr) {
+    HQ_RETURN_IF_ERROR(Launch(stream.get()));
+  }
+  session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
+  ResultSet rs;
+  rs.stream_ = std::move(stream);
+  return rs;
+}
+
+Result<QueryResult> SessionImpl::Run(
+    const std::shared_ptr<Session::State>& session, const StatementDesc& desc,
+    std::atomic<int32_t>* external_cancel) {
+  HQ_ASSIGN_OR_RETURN(auto stream, Open(session, desc, external_cancel));
+  if (stream->done || stream->core != nullptr) {
+    // DML and EXPLAIN finished inside Open: hand out what they left.
+    ResultSet rs;
+    rs.stream_ = std::move(stream);
+    return rs.Materialize();
+  }
+  return DrainInline(stream.get());
+}
+
+Status SessionImpl::BindRun(ResultSet::Stream* s,
+                            const std::atomic<int32_t>* cancel) {
+  if (s->statement != nullptr) {
     HQ_RETURN_IF_ERROR(
         exec::BindParamValues(s->state->plan->params, s->values, &s->bound));
   } else {
     exec::BindParams(s->state->plan->params, &s->bound);
   }
-  s->core = std::make_shared<StreamCore>(s->session->stream_buffer_pages);
-  if (s->external_cancel != nullptr) s->core->cancel_flag = s->external_cancel;
-  s->par = RuntimeFor(*s->session, nullptr);
-  s->par.cancel = s->core->cancel_flag;
+  const Session::State& session = *s->session;
+  s->par = exec::ParallelRuntime();
+  s->par.pool = session.options.threads == 1
+                    ? nullptr
+                    : session.engine->worker_pool_.get();
+  s->par.arena_limit_bytes =
+      session.options.arena_limit_bytes == SessionOptions::kInheritArenaLimit
+          ? session.engine->options().arena_limit_bytes
+          : session.options.arena_limit_bytes;
+  s->par.cancel = cancel;
+  s->par.priority = session.options.priority;
   s->par.collect_op_stats = s->force_op_stats || s->engine->trace_spans();
   s->par.collect_op_cycles = s->force_op_stats;
+  return Status::OK();
+}
+
+Status SessionImpl::Launch(ResultSet::Stream* s) {
+  s->core = std::make_shared<StreamCore>(s->session->stream_buffer_pages);
+  if (s->external_cancel != nullptr) s->core->cancel_flag = s->external_cancel;
+  HQ_RETURN_IF_ERROR(BindRun(s, s->core->cancel_flag));
   HQ_RETURN_IF_ERROR(RegisterStream(s->session, s->core));
 
   ResultSet::Stream* raw = s;
@@ -334,73 +463,109 @@ Status SessionImpl::Launch(ResultSet::Stream* s) {
   return Status::OK();
 }
 
-/// Map-overflow replan: swap the stream onto the hybrid-aggregation
-/// fallback plan. Query paths remember the doomed plan's signature so the
-/// working library can be aliased under it on success; Execute paths cache
-/// the fallback state inside the prepared statement (shared by all its
-/// executions), exactly as the pre-streaming Execute retry did.
-Status SessionImpl::ReplanHybrid(ResultSet::Stream* s) {
-  HiqueEngine* engine = s->engine;
-  if (s->is_execute) {
-    std::shared_ptr<const PreparedStatement::State> next;
-    {
-      std::lock_guard<std::mutex> lk(s->state->fallback_mu);
-      if (s->state->fallback == nullptr) {
-        auto fallback = SessionImpl::PrepareFallback(engine, *s->state);
-        if (!fallback.ok()) return fallback.status();
-        s->state->fallback = std::move(fallback).value();
-      }
-      next = s->state->fallback;
+Result<QueryResult> SessionImpl::DrainInline(ResultSet::Stream* s) {
+  for (;;) {
+    HQ_RETURN_IF_ERROR(BindRun(s, s->external_cancel));
+    exec::ExecStats stats;
+    auto table = exec::ExecuteEntryToTable(
+        s->state->plan->query->tables, s->state->plan->output_schema,
+        s->library->entry(), &s->bound.abi, &stats, s->par,
+        &s->state->table_layouts);
+    Status status = table.ok() ? Status::OK() : table.status();
+    // A failed run's pages die with its table: nothing reached a consumer.
+    exec::RetryReason reason = RetryFor(s, status, stats, /*delivered=*/0);
+    if (reason != exec::RetryReason::kNone) {
+      status = Replan(s, reason);
+      if (status.ok()) continue;
     }
-    s->state = std::move(next);
-    std::shared_ptr<exec::CompiledLibrary> library =
-        SessionImpl::CurrentLibrary(engine, *s->state);
-    s->library = std::move(library);
-  } else {
-    s->failed_signature = s->state->signature;
-    s->failed_params = s->state->plan->params;
-    auto fallback =
-        SessionImpl::PrepareQueryState(engine, s->sql, s->planner,
-                                       s->cacheable, /*force_hybrid=*/true);
-    if (!fallback.ok()) return fallback.status();
-    s->state = std::move(fallback).value();
-    s->library = s->state->library;
-    s->cache_hit = s->state->cache_hit;
-    s->timings = s->state->prepare_timings;
+    Seal(s, status, stats, stats.rows);
+    if (!status.ok()) return status;
+    return AssembleResult(s, std::move(table).value());
   }
-  FillStreamMeta(s);
+}
+
+exec::RetryReason SessionImpl::RetryFor(ResultSet::Stream* s,
+                                        const Status& status,
+                                        const exec::ExecStats& stats,
+                                        uint64_t delivered) {
+  if (status.ok() || delivered != 0) return exec::RetryReason::kNone;
+  switch (stats.retry) {
+    case exec::RetryReason::kMapOverflow:
+      // Stale statistics: directories overflowed before any page was
+      // emitted. Re-plan with hybrid aggregation, once.
+      if (s->overflow_replanned) return exec::RetryReason::kNone;
+      s->overflow_replanned = true;
+      return stats.retry;
+    case exec::RetryReason::kStalePlan:
+      // A compaction or compression rewrite republished a table's pages
+      // between preparation and pinning. Bounded so a compaction storm
+      // cannot starve the statement.
+      if (s->stale_replans >= 3) return exec::RetryReason::kNone;
+      ++s->stale_replans;
+      return stats.retry;
+    case exec::RetryReason::kNone:
+      break;
+  }
+  return exec::RetryReason::kNone;
+}
+
+Status SessionImpl::Replan(ResultSet::Stream* s, exec::RetryReason reason) {
+  plan::PlannerOptions planner = s->state->planner;
+  if (reason == exec::RetryReason::kMapOverflow) {
+    planner.force_agg_algo = plan::AggAlgo::kHybridHashSort;
+    if (s->statement == nullptr) {
+      // Remember the doomed plan so the working library can be aliased
+      // under its signature once the retry succeeds.
+      s->failed_signature = s->state->signature;
+      s->failed_params = s->state->plan->params;
+    }
+  }
+  std::shared_ptr<const PreparedStatement::State> next;
+  if (s->statement == nullptr) {
+    HQ_ASSIGN_OR_RETURN(next, s->engine->PrepareState(
+                                  s->state->sql, planner,
+                                  /*allow_placeholders=*/false));
+  } else {
+    // A prepared statement keeps its replacement, so later executions
+    // neither repeat the failed run nor re-prepare. When a concurrent
+    // execution replanned since this one started, its newer state is
+    // adopted instead of preparing twice — unless this run overflowed and
+    // that state still plans map aggregation (a stale-plan replan keeps
+    // its base planner), which would overflow again.
+    std::lock_guard<std::mutex> lk(s->statement->replacement_mu);
+    const auto& current = s->statement->replacement;
+    if (current != nullptr && current != s->state &&
+        (reason != exec::RetryReason::kMapOverflow ||
+         current->planner.force_agg_algo == plan::AggAlgo::kHybridHashSort)) {
+      next = current;
+    } else {
+      HQ_ASSIGN_OR_RETURN(next, s->engine->PrepareState(
+                                    s->state->sql, planner,
+                                    /*allow_placeholders=*/true));
+      s->statement->replacement = next;
+    }
+  }
+  s->state = std::move(next);
+  AdoptState(s);
   return Status::OK();
 }
 
-Status SessionImpl::RestartWithHybrid(ResultSet::Stream* s) {
-  HQ_RETURN_IF_ERROR(ReplanHybrid(s));
-  return SessionImpl::Launch(s);
-}
-
-/// Stale-plan replan: a compaction / compression rewrite moved a table's
-/// page layout between preparation and pinning. Re-prepare from scratch —
-/// the statistics-version prefix keys the fresh plan to its own cache slot,
-/// so the stale library is never served again for this layout.
-Status SessionImpl::ReplanFresh(ResultSet::Stream* s) {
-  HiqueEngine* engine = s->engine;
-  if (s->is_execute) {
-    auto next = engine->PrepareState(s->state->sql, s->state->planner,
-                                     s->state->cacheable,
-                                     /*force_hybrid_agg=*/false,
-                                     /*allow_placeholders=*/true);
-    if (!next.ok()) return next.status();
-    s->state = std::move(next).value();
-    s->library = s->state->library;
-  } else {
-    auto next = PrepareQueryState(engine, s->sql, s->planner, s->cacheable,
-                                  /*force_hybrid=*/false);
-    if (!next.ok()) return next.status();
-    s->state = std::move(next).value();
-    s->library = s->state->library;
-    s->cache_hit = s->state->cache_hit;
+void SessionImpl::Seal(ResultSet::Stream* s, Status status,
+                       const exec::ExecStats& stats, int64_t rows) {
+  RecordExecGauges(s->session.get(), stats);
+  s->stats = stats;
+  s->timings.execute_ms = s->exec_timer.ElapsedMillis();
+  s->done = true;
+  s->end_status = std::move(status);
+  if (!s->end_status.ok()) {
+    StatementMetrics::Get().failed->Increment();
+    return;
   }
-  FillStreamMeta(s);
-  return Status::OK();
+  RecordStatementDone(s, rows);
+  if (!s->failed_signature.empty()) {
+    s->engine->InstallOverflowAlias(s->failed_signature, s->failed_params,
+                                    *s->state);
+  }
 }
 
 QueryResult SessionImpl::AssembleResult(ResultSet::Stream* s,
@@ -422,81 +587,45 @@ QueryResult SessionImpl::AssembleResult(ResultSet::Stream* s,
 }
 
 /// End of stream: the producer finished and the queue drained. Collects
-/// the outcome, runs the one-shot map-overflow restart (true: a fresh
-/// producer is live, keep pulling from the new core), or seals the
-/// stream's done/end_status (false).
+/// the outcome, relaunches a retry (true: a fresh producer is live, keep
+/// pulling from the new core), or seals the stream's done/end_status
+/// (false).
 bool SessionImpl::FinishStream(ResultSet::Stream* s) {
   if (s->producer.joinable()) s->producer.join();
   Status status;
   exec::ExecStats stats;
   int64_t rows;
   uint64_t delivered;
-  uint32_t peak;
   {
     std::lock_guard<std::mutex> lk(s->core->mu);
     status = s->core->final_status;
     stats = s->core->stats;
     rows = s->core->rows;
     delivered = s->core->pages_delivered;
-    peak = s->core->peak_resident;
+    s->stats_peak_pages = std::max(s->stats_peak_pages, s->core->peak_resident);
   }
-  if (peak > s->stats_peak_pages) s->stats_peak_pages = peak;
   if (s->is_meta) {
-    // Pre-materialized EXPLAIN stream: the inner execution already folded
-    // its stats; just seal the cursor.
+    // EXPLAIN output: the inner execution already folded its stats; just
+    // seal the cursor.
     s->stats = stats;
     s->done = true;
     s->end_status = std::move(status);
     return false;
   }
-  RecordExecGauges(s->session.get(), stats);
-  if (status.ok()) {
-    s->stats = stats;
-    s->timings.execute_ms = s->exec_timer.ElapsedMillis();
-    RecordStatementDone(s, rows);
-    s->done = true;
-    s->end_status = Status::OK();
-    if (s->restarted && !s->is_execute) {
-      s->engine->InstallOverflowAlias(s->failed_signature, s->failed_params,
-                                      *s->state);
-    }
-    return false;
-  }
-  if (exec::IsMapOverflow(status) && !s->restarted && delivered == 0) {
-    // Stale statistics: directories overflowed before any page was
-    // emitted. Re-plan with hybrid aggregation and retry once.
-    s->restarted = true;
+  exec::RetryReason reason = RetryFor(s, status, stats, delivered);
+  if (reason != exec::RetryReason::kNone) {
     {
-      // The doomed core is about to be replaced: fold its allocation
+      // The failed core is about to be replaced: fold its allocation
       // telemetry so the cursor's lifetime counters stay complete.
       std::lock_guard<std::mutex> lk(s->core->mu);
       s->acc_pages_allocated += s->core->pages_allocated;
       s->acc_pages_recycled += s->core->pages_recycled;
     }
-    Status restart = RestartWithHybrid(s);
-    if (restart.ok()) return true;
-    status = restart;
+    status = Replan(s, reason);
+    if (status.ok()) status = Launch(s);
+    if (status.ok()) return true;
   }
-  if (exec::IsStalePlan(status) && s->stale_restarts < 3 && delivered == 0) {
-    // A compaction or compression rewrite republished a table's pages
-    // between preparation and pinning. Re-prepare against the new layout
-    // and relaunch; bounded so a compaction storm cannot starve the query.
-    ++s->stale_restarts;
-    {
-      std::lock_guard<std::mutex> lk(s->core->mu);
-      s->acc_pages_allocated += s->core->pages_allocated;
-      s->acc_pages_recycled += s->core->pages_recycled;
-    }
-    Status restart = ReplanFresh(s);
-    if (restart.ok()) restart = Launch(s);
-    if (restart.ok()) return true;
-    status = restart;
-  }
-  s->stats = stats;
-  s->timings.execute_ms = s->exec_timer.ElapsedMillis();
-  StatementMetrics::Get().failed->Increment();
-  s->done = true;
-  s->end_status = std::move(status);
+  Seal(s, std::move(status), stats, rows);
   return false;
 }
 
@@ -518,218 +647,10 @@ ResultSet::PagePoll SessionImpl::TryPullPage(ResultSet::Stream* s,
     if (!s->core->TryPop(page, &ended)) return ResultSet::PagePoll::kPending;
     if (*page != nullptr) return ResultSet::PagePoll::kPage;
     // Producer finished (or the stream was closed): resolve the outcome.
-    // A successful map-overflow restart leaves a fresh producer running —
-    // report kPending so the event loop polls the new core.
+    // A relaunched retry leaves a fresh producer running — report kPending
+    // so the event loop polls the new core.
     if (!FinishStream(s)) return ResultSet::PagePoll::kEnd;
   }
-}
-
-Result<std::shared_ptr<const PreparedStatement::State>>
-SessionImpl::PrepareQueryState(HiqueEngine* engine, const std::string& sql,
-                               const plan::PlannerOptions& planner,
-                               bool cacheable, bool force_hybrid) {
-  return engine->PrepareState(sql, planner, cacheable, force_hybrid,
-                              /*allow_placeholders=*/false);
-}
-
-Result<std::shared_ptr<const PreparedStatement::State>>
-SessionImpl::PrepareFallback(HiqueEngine* engine,
-                             const PreparedStatement::State& state) {
-  return engine->PrepareState(state.sql, state.planner, state.cacheable,
-                              /*force_hybrid_agg=*/true,
-                              /*allow_placeholders=*/true);
-}
-
-Result<PreparedStatement> SessionImpl::Prepare(
-    HiqueEngine* engine, const std::string& sql,
-    const plan::PlannerOptions& planner) {
-  {
-    bool analyze = false;
-    std::string inner;
-    if (sql::ParseExplainPrefix(sql, &analyze, &inner)) {
-      // EXPLAIN is a one-shot diagnostic: its output depends on transient
-      // cache state, so a prepared handle would lie on re-execution.
-      return Status::BindError(
-          "EXPLAIN cannot be prepared; run it with Query()");
-    }
-  }
-  if (sql::IsDmlStatement(sql)) {
-    // Validate now (typed parse/placeholder errors surface at Prepare, as
-    // they do for reads) but execute per-Execute: DML compiles nothing, so
-    // the prepared state is just the validated statement text.
-    auto parsed = sql::ParseDml(sql);
-    if (!parsed.ok()) return parsed.status();
-    auto state = std::make_shared<PreparedStatement::State>();
-    state->sql = sql;
-    state->signature = "dml";
-    state->plan_text = "dml";
-    state->is_dml = true;
-    PreparedStatement prepared;
-    prepared.state_ = std::move(state);
-    return prepared;
-  }
-  HQ_ASSIGN_OR_RETURN(
-      auto state,
-      engine->PrepareState(sql, planner, engine->options().cache_compiled,
-                           /*force_hybrid_agg=*/false,
-                           /*allow_placeholders=*/true));
-  PreparedStatement prepared;
-  prepared.state_ = std::move(state);
-  return prepared;
-}
-
-std::shared_ptr<exec::CompiledLibrary> SessionImpl::CurrentLibrary(
-    HiqueEngine* engine, const PreparedStatement::State& state) {
-  // Prefer the cache's current library for this signature: the background
-  // worker may have swapped in the -O2 tier since Prepare. The statement's
-  // pinned library is the eviction-proof fallback.
-  std::shared_ptr<exec::CompiledLibrary> library =
-      engine->PeekLibrary(state.signature);
-  if (library == nullptr) library = state.library;
-  return library;
-}
-
-Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::BuildQueryStream(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const std::string& sql, const plan::PlannerOptions& planner,
-    bool cacheable, std::atomic<int32_t>* external_cancel) {
-  auto stream = std::make_unique<ResultSet::Stream>();
-  stream->engine = engine;
-  stream->session = session;
-  stream->sql = sql;
-  stream->planner = planner;
-  stream->cacheable = cacheable;
-  stream->external_cancel = external_cancel;
-  HQ_ASSIGN_OR_RETURN(stream->state,
-                      PrepareQueryState(engine, sql, planner, cacheable,
-                                        /*force_hybrid=*/false));
-  stream->library = stream->state->library;
-  stream->cache_hit = stream->state->cache_hit;
-  stream->timings = stream->state->prepare_timings;
-  FillStreamMeta(stream.get());
-  stream->exec_timer.Restart();
-  return stream;
-}
-
-Result<std::unique_ptr<ResultSet::Stream>> SessionImpl::BuildExecuteStream(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const PreparedStatement& stmt, const std::vector<Value>& values,
-    std::atomic<int32_t>* external_cancel) {
-  if (!stmt.valid()) {
-    return Status::BindError(
-        "invalid (default-constructed) PreparedStatement");
-  }
-  auto stream = std::make_unique<ResultSet::Stream>();
-  stream->engine = engine;
-  stream->session = session;
-  stream->is_execute = true;
-  stream->values = values;
-  stream->external_cancel = external_cancel;
-  stream->state = stmt.state_;
-  {
-    // A previous execution already hit the map-overflow fallback (stale
-    // statistics): start there, skipping the known-doomed map plan.
-    std::lock_guard<std::mutex> lk(stmt.state_->fallback_mu);
-    if (stmt.state_->fallback != nullptr) stream->state = stmt.state_->fallback;
-  }
-  stream->library = CurrentLibrary(engine, *stream->state);
-  stream->cache_hit = true;  // Execute never generates or compiles
-  FillStreamMeta(stream.get());
-  stream->exec_timer.Restart();
-  return stream;
-}
-
-Result<ResultSet> SessionImpl::OpenQueryStream(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const std::string& sql, const plan::PlannerOptions& planner,
-    bool cacheable, std::atomic<int32_t>* external_cancel) {
-  {
-    // EXPLAIN over a cursor (this is the wire server's path): materialize
-    // the report, then serve it from a sealed core — the consumer side
-    // (row loop, page pump, remote protocol) is none the wiser.
-    bool analyze = false;
-    std::string inner;
-    if (sql::ParseExplainPrefix(sql, &analyze, &inner)) {
-      HQ_ASSIGN_OR_RETURN(QueryResult explained,
-                          ExplainQuery(engine, session, inner, analyze,
-                                       planner, cacheable, external_cancel));
-      session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
-      return StreamFromResult(engine, session, std::move(explained));
-    }
-  }
-  if (sql::IsDmlStatement(sql)) {
-    // Writes execute before the cursor is handed out; the stream opens
-    // pre-finished (no core, no producer) so every consumer — row loop,
-    // page loop, Materialize, the wire server's pump — sees an immediate
-    // clean end-of-stream with rows_affected set.
-    {
-      std::lock_guard<std::mutex> lk(session->mu);
-      if (session->closed) return SessionClosedError();
-    }
-    WallTimer timer;
-    HQ_ASSIGN_OR_RETURN(uint64_t affected, engine->ExecuteDml(sql));
-    auto dml = std::make_unique<ResultSet::Stream>();
-    dml->engine = engine;
-    dml->session = session;
-    dml->sql = sql;
-    dml->is_dml = true;
-    dml->rows_affected = static_cast<int64_t>(affected);
-    dml->plan_text = "dml";
-    dml->done = true;
-    dml->timings.execute_ms = timer.ElapsedMillis();
-    session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
-    ResultSet rs;
-    rs.stream_ = std::move(dml);
-    return rs;
-  }
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildQueryStream(engine, session, sql, planner,
-                                       cacheable, external_cancel));
-  HQ_RETURN_IF_ERROR(Launch(stream.get()));
-  session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
-  ResultSet rs;
-  rs.stream_ = std::move(stream);
-  return rs;
-}
-
-Result<ResultSet> SessionImpl::OpenExecuteStream(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const PreparedStatement& stmt, const std::vector<Value>& values,
-    std::atomic<int32_t>* external_cancel) {
-  if (stmt.valid() && stmt.state_->is_dml) {
-    if (!values.empty()) {
-      return Status::BindError("DML statements take no parameter values");
-    }
-    {
-      std::lock_guard<std::mutex> lk(session->mu);
-      if (session->closed) return SessionClosedError();
-    }
-    WallTimer timer;
-    HQ_ASSIGN_OR_RETURN(uint64_t affected,
-                        engine->ExecuteDml(stmt.state_->sql));
-    auto dml = std::make_unique<ResultSet::Stream>();
-    dml->engine = engine;
-    dml->session = session;
-    dml->sql = stmt.state_->sql;
-    dml->is_execute = true;
-    dml->is_dml = true;
-    dml->rows_affected = static_cast<int64_t>(affected);
-    dml->plan_text = "dml";
-    dml->done = true;
-    dml->timings.execute_ms = timer.ElapsedMillis();
-    session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
-    ResultSet rs;
-    rs.stream_ = std::move(dml);
-    return rs;
-  }
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildExecuteStream(engine, session, stmt, values,
-                                         external_cancel));
-  HQ_RETURN_IF_ERROR(Launch(stream.get()));
-  session->stat_streams_opened.fetch_add(1, std::memory_order_relaxed);
-  ResultSet rs;
-  rs.stream_ = std::move(stream);
-  return rs;
 }
 
 // ---- Admission accounting --------------------------------------------------
@@ -767,270 +688,77 @@ SessionImpl::AdmissionLease::~AdmissionLease() {
   if (controller_ != nullptr) controller_->ExitBlocking();
 }
 
-Result<QueryResult> SessionImpl::DrainInline(ResultSet::Stream* s) {
-  // The blocking fast path: no producer thread, no handoff queue — the
-  // executor's page callback adopts pages straight into the result table
-  // on the calling thread. Semantics (pipeline, restart, metadata) are
-  // identical to the cursor path; a cursor is only worth its thread when
-  // the client actually overlaps consumption with execution.
-  {
-    std::lock_guard<std::mutex> lk(s->session->mu);
-    if (s->session->closed) return SessionClosedError();
-  }
-  for (;;) {
-    if (s->is_execute) {
-      HQ_RETURN_IF_ERROR(
-          exec::BindParamValues(s->state->plan->params, s->values, &s->bound));
-    } else {
-      exec::BindParams(s->state->plan->params, &s->bound);
-    }
-    s->par = RuntimeFor(*s->session, s->external_cancel);
-    s->par.collect_op_stats = s->force_op_stats || s->engine->trace_spans();
-    s->par.collect_op_cycles = s->force_op_stats;
-
-    auto table = std::make_unique<Table>("result", s->schema);
-    Status adopt = Status::OK();
-    auto on_page = [&](Page* page) {
-      adopt = table->AdoptPage(page);
-      if (!adopt.ok()) {
-        std::free(page);
-        return false;
-      }
-      return true;
-    };
-    exec::ExecStats stats;
-    auto rows = exec::ExecuteEntryStreaming(
-        s->state->plan->query->tables, s->state->plan->output_schema,
-        s->library->entry(), &s->bound.abi, &stats, s->par, on_page,
-        /*alloc_page=*/{}, &s->state->table_layouts);
-    if (!adopt.ok()) return adopt;
-    if (!rows.ok()) {
-      if (exec::IsMapOverflow(rows.status()) && !s->restarted) {
-        // Stale statistics: re-plan with hybrid aggregation, retry once.
-        s->restarted = true;
-        HQ_RETURN_IF_ERROR(ReplanHybrid(s));
-        continue;
-      }
-      if (exec::IsStalePlan(rows.status()) && s->stale_restarts < 3) {
-        // Table layout moved between prepare and pin: re-prepare fresh.
-        ++s->stale_restarts;
-        HQ_RETURN_IF_ERROR(ReplanFresh(s));
-        continue;
-      }
-      StatementMetrics::Get().failed->Increment();
-      return rows.status();
-    }
-    s->stats = stats;
-    s->timings.execute_ms = s->exec_timer.ElapsedMillis();
-    RecordExecGauges(s->session.get(), stats);
-    RecordStatementDone(s, rows.value());
-    if (s->restarted && !s->is_execute) {
-      s->engine->InstallOverflowAlias(s->failed_signature, s->failed_params,
-                                      *s->state);
-    }
-    return AssembleResult(s, std::move(table));
-  }
-}
-
 // ---- EXPLAIN / EXPLAIN ANALYZE --------------------------------------------
 
-Result<QueryResult> SessionImpl::MakeTextResult(
-    const std::string& column, const std::vector<std::string>& lines) {
-  // One fixed-width CHAR column sized to the longest line: CHAR(N) is the
-  // only variable-width type the engine has, and a text report is the only
-  // result shape that flows through every surface (rows, pages, wire)
-  // without a new protocol concept.
-  size_t width = 1;
-  for (const auto& line : lines) width = std::max(width, line.size());
-  // A tuple must fit one NSM page (and leave the 8-byte rounding room).
-  constexpr size_t kMaxWidth = 1024;
-  if (width > kMaxWidth) width = kMaxWidth;
-  auto w = static_cast<uint16_t>(width);
-
-  Schema schema;
-  schema.AddColumn("plan", Type::Char(w));
-  auto table = std::make_unique<Table>("explain", schema);
-  for (const auto& line : lines) {
-    std::string text = line.size() > width ? line.substr(0, width) : line;
-    HQ_RETURN_IF_ERROR(table->AppendRow({Value::Char(std::move(text), w)}));
-  }
-  QueryResult result;
-  result.schema = schema;
-  result.table = std::move(table);
-  return result;
-}
-
-Result<ResultSet> SessionImpl::StreamFromResult(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    QueryResult&& result) {
-  auto stream = std::make_unique<ResultSet::Stream>();
-  stream->engine = engine;
-  stream->session = session;
-  stream->is_meta = true;
-  stream->schema = result.schema;
-  stream->tuple_size = result.schema.TupleSize();
-  stream->plan_signature = result.plan_signature;
-  stream->plan_text = result.plan_text;
-  stream->timings = result.timings;
-  stream->cache_hit = result.cache_hit;
-  stream->opt_level = result.library_opt_level;
-  stream->stats = result.exec_stats;
-
-  const uint32_t tuple_size = stream->tuple_size;
-  const uint32_t per_page = Page::TuplesPerPage(tuple_size);
-  const int64_t rows = result.NumRows();
-  // Capacity covers every page up front, so the sealed core is filled
-  // without a consumer: Push only blocks once `capacity` pages queue up.
-  auto pages_needed = static_cast<uint32_t>(
-      (static_cast<uint64_t>(rows) + per_page - 1) / per_page);
-  auto core = std::make_shared<StreamCore>(pages_needed < 1 ? 1 : pages_needed);
-
-  Page* page = nullptr;
-  uint32_t slot = 0;
-  bool failed = false;
-  auto flush = [&] {
-    if (page == nullptr) return;
-    page->num_tuples = slot;
-    if (!core->Push(page)) failed = true;
-    page = nullptr;
-    slot = 0;
-  };
-  if (result.table != nullptr) {
-    HQ_RETURN_IF_ERROR(result.table->ForEachTuple([&](const uint8_t* tuple) {
-      if (failed) return;
-      if (page == nullptr) {
-        page = core->AcquirePage();
-        if (page == nullptr) {
-          failed = true;
-          return;
-        }
-        std::memset(page, 0, kPageSize);
-      }
-      std::memcpy(page->TupleAt(slot, tuple_size), tuple, tuple_size);
-      if (++slot == per_page) flush();
-    }));
-  }
-  if (!failed) flush();
-  if (failed) return Status::ExecError("out of memory materializing EXPLAIN");
-  core->Finish(Status::OK(), rows, result.exec_stats);
-  stream->core = std::move(core);
-  ResultSet rs;
-  rs.stream_ = std::move(stream);
-  return rs;
-}
-
-Result<QueryResult> SessionImpl::ExplainQuery(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const std::string& inner, bool analyze,
-    const plan::PlannerOptions& planner, bool cacheable,
-    std::atomic<int32_t>* external_cancel) {
-  {
-    std::lock_guard<std::mutex> lk(session->mu);
-    if (session->closed) return SessionClosedError();
-  }
+Status SessionImpl::Explain(ResultSet::Stream* s, const std::string& inner,
+                            bool analyze) {
   if (sql::IsDmlStatement(inner)) {
     return Status::PlanError("EXPLAIN supports SELECT statements only");
   }
-  if (!analyze) {
-    // Plan only: prepare (plan + generate + compile, or a cache hit) but
-    // never execute. The report is the physical plan plus cache metadata.
-    HQ_ASSIGN_OR_RETURN(auto state,
-                        PrepareQueryState(engine, inner, planner, cacheable,
-                                          /*force_hybrid=*/false));
-    auto library = CurrentLibrary(engine, *state);
-    auto lines =
-        obs::RenderExplainLines(state->plan_text, state->signature,
-                                state->cache_hit, library->opt_level());
-    HQ_ASSIGN_OR_RETURN(QueryResult result, MakeTextResult("plan", lines));
-    result.plan_text = state->plan_text;
-    result.plan_signature = state->signature;
-    result.cache_hit = state->cache_hit;
-    result.library_opt_level = library->opt_level();
-    result.timings = state->prepare_timings;
-    return result;
+  bool nested_analyze = false;
+  std::string nested;
+  if (sql::ParseExplainPrefix(inner, &nested_analyze, &nested)) {
+    return Status::ParseError("EXPLAIN cannot be nested");
   }
-  // ANALYZE: run the inner statement with per-operator span collection
-  // (and cycle counters) forced, then render the annotated plan. The inner
-  // execution is the real pipeline — same restarts, same admission, same
-  // metrics fold — so the report reflects exactly what a plain Query did.
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildQueryStream(engine, session, inner, planner,
-                                       cacheable, external_cancel));
-  stream->force_op_stats = true;
-  HQ_ASSIGN_OR_RETURN(QueryResult executed, DrainInline(stream.get()));
-  auto lines = obs::RenderAnalyzeLines(
-      executed.plan_text, executed.plan_signature, executed.cache_hit,
-      executed.library_opt_level, executed.timings, executed.exec_stats);
-  HQ_ASSIGN_OR_RETURN(QueryResult result, MakeTextResult("plan", lines));
-  result.plan_text = executed.plan_text;
-  result.plan_signature = executed.plan_signature;
-  result.cache_hit = executed.cache_hit;
-  result.library_opt_level = executed.library_opt_level;
-  result.timings = executed.timings;
-  result.exec_stats = executed.exec_stats;
-  result.cache_stats = executed.cache_stats;
-  return result;
-}
+  // Plan only: prepare (plan + generate + compile, or a cache hit) but
+  // never execute. ANALYZE: run the inner statement with per-operator span
+  // collection (and cycle counters) forced. The inner execution is the real
+  // pipeline — same retries, same metrics fold — so the report reflects
+  // exactly what a plain Query did.
+  HQ_ASSIGN_OR_RETURN(auto run, Open(s->session, StatementDesc(inner),
+                                     s->external_cancel));
+  if (analyze) {
+    run->force_op_stats = true;
+    HQ_RETURN_IF_ERROR(DrainInline(run.get()).status());
+  }
+  s->plan_text = run->plan_text;
+  s->plan_signature = run->plan_signature;
+  s->cache_hit = run->cache_hit;
+  s->opt_level = run->opt_level;
+  s->timings = run->timings;
+  s->stats = run->stats;
+  std::vector<std::string> lines =
+      analyze ? obs::RenderAnalyzeLines(s->plan_text, s->plan_signature,
+                                        s->cache_hit, s->opt_level,
+                                        s->timings, s->stats)
+              : obs::RenderExplainLines(s->plan_text, s->plan_signature,
+                                        s->cache_hit, s->opt_level);
 
-Result<QueryResult> SessionImpl::BlockingQuery(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const std::string& sql, const plan::PlannerOptions& planner,
-    bool cacheable, std::atomic<int32_t>* external_cancel) {
-  {
-    bool analyze = false;
-    std::string inner;
-    if (sql::ParseExplainPrefix(sql, &analyze, &inner)) {
-      return ExplainQuery(engine, session, inner, analyze, planner,
-                          cacheable, external_cancel);
-    }
-  }
-  if (sql::IsDmlStatement(sql)) {
-    // Writes bypass the compiled-query machinery entirely: the statement
-    // executes before any cursor exists, and the result carries only the
-    // affected-row count.
-    {
-      std::lock_guard<std::mutex> lk(session->mu);
-      if (session->closed) return SessionClosedError();
-    }
-    WallTimer timer;
-    HQ_ASSIGN_OR_RETURN(uint64_t affected, engine->ExecuteDml(sql));
-    QueryResult result;
-    result.rows_affected = static_cast<int64_t>(affected);
-    result.plan_text = "dml";
-    result.timings.execute_ms = timer.ElapsedMillis();
-    return result;
-  }
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildQueryStream(engine, session, sql, planner,
-                                       cacheable, external_cancel));
-  return DrainInline(stream.get());
-}
+  // The report is one fixed-width CHAR column sized to the longest line:
+  // CHAR(N) is the only variable-width type the engine has, and a text
+  // report is the only result shape that flows through every surface
+  // (rows, pages, wire) without a new protocol concept. A tuple must fit
+  // one NSM page (and leave the 8-byte rounding room).
+  size_t width = 1;
+  for (const auto& line : lines) width = std::max(width, line.size());
+  constexpr size_t kMaxWidth = 1024;
+  auto w = static_cast<uint16_t>(std::min(width, kMaxWidth));
+  s->schema = Schema();
+  s->schema.AddColumn("plan", Type::Char(w));
+  s->tuple_size = s->schema.TupleSize();
+  s->is_meta = true;
 
-Result<QueryResult> SessionImpl::BlockingExecute(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    const PreparedStatement& stmt, const std::vector<Value>& values,
-    std::atomic<int32_t>* external_cancel) {
-  if (stmt.valid() && stmt.state_->is_dml) {
-    if (!values.empty()) {
-      return Status::BindError("DML statements take no parameter values");
+  // Capacity covers every page up front, so the sealed core is filled
+  // without a consumer: Push only blocks once `capacity` pages queue up.
+  const uint32_t per_page = Page::TuplesPerPage(s->tuple_size);
+  auto pages = static_cast<uint32_t>((lines.size() + per_page - 1) / per_page);
+  s->core = std::make_shared<StreamCore>(pages);
+  for (size_t i = 0; i < lines.size(); i += per_page) {
+    Page* page = s->core->AcquirePage();
+    if (page == nullptr) {
+      return Status::ExecError("out of memory materializing EXPLAIN");
     }
-    {
-      std::lock_guard<std::mutex> lk(session->mu);
-      if (session->closed) return SessionClosedError();
+    std::memset(page, 0, kPageSize);
+    page->num_tuples = static_cast<uint32_t>(
+        std::min<size_t>(per_page, lines.size() - i));
+    for (uint32_t slot = 0; slot < page->num_tuples; ++slot) {
+      s->schema.SetValue(page->TupleAt(slot, s->tuple_size), 0,
+                         Value::Char(lines[i + slot].substr(0, w), w));
     }
-    WallTimer timer;
-    HQ_ASSIGN_OR_RETURN(uint64_t affected,
-                        engine->ExecuteDml(stmt.state_->sql));
-    QueryResult result;
-    result.rows_affected = static_cast<int64_t>(affected);
-    result.plan_text = "dml";
-    result.timings.execute_ms = timer.ElapsedMillis();
-    return result;
+    s->core->Push(page);
   }
-  HQ_ASSIGN_OR_RETURN(auto stream,
-                      BuildExecuteStream(engine, session, stmt, values,
-                                         external_cancel));
-  return DrainInline(stream.get());
+  s->core->Finish(Status::OK(), static_cast<int64_t>(lines.size()), s->stats);
+  return Status::OK();
 }
 
 void SessionImpl::SettleCancelled(
@@ -1044,11 +772,10 @@ void SessionImpl::SettleCancelled(
   s->cv.notify_all();
 }
 
-QueryHandle SessionImpl::Submit(
-    HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-    std::function<Result<QueryResult>(std::atomic<int32_t>*)> run) {
+QueryHandle SessionImpl::Submit(const std::shared_ptr<Session::State>& session,
+                                StatementDesc desc) {
   auto state = std::make_shared<QueryHandle::AsyncState>();
-  state->controller = engine->admission();
+  state->controller = session->engine->admission();
   state->session = session;
   {
     std::lock_guard<std::mutex> lk(session->mu);
@@ -1071,7 +798,7 @@ QueryHandle SessionImpl::Submit(
   session->stat_queued.fetch_add(1, std::memory_order_relaxed);
   WallTimer queue_wait;
   auto job = [state, session, queue_wait,
-              run = std::move(run)](uint64_t seq, bool cancelled) {
+              desc = std::move(desc)](uint64_t seq, bool cancelled) {
     DebitQueued(state);
     if (cancelled || state->cancel.load(std::memory_order_acquire) != 0) {
       SettleCancelled(state);
@@ -1084,7 +811,7 @@ QueryHandle SessionImpl::Submit(
     StatementMetrics::Get().admission_wait_ms->Observe(
         static_cast<double>(waited_micros) / 1000.0);
     state->dispatch_seq.store(seq, std::memory_order_release);
-    auto result = run(&state->cancel);
+    auto result = Run(session, desc, &state->cancel);
     {
       std::lock_guard<std::mutex> lk(state->mu);
       if (!state->done) {
@@ -1384,65 +1111,41 @@ Result<QueryResult> Session::Query(const std::string& sql) {
   // (one shared slot pool), so a storm of blocking remote clients cannot
   // starve async slots — or the other way round.
   SessionImpl::AdmissionLease lease(state_);
-  return SessionImpl::BlockingQuery(state_->engine, state_, sql,
-                                    state_->planner,
-                                    state_->engine->options().cache_compiled,
-                                    nullptr);
+  return SessionImpl::Run(state_, StatementDesc(sql), nullptr);
 }
 
 Result<QueryResult> Session::Execute(const PreparedStatement& stmt,
                                      const std::vector<Value>& values) {
   if (!valid()) return Status::InvalidArgument("invalid Session");
   SessionImpl::AdmissionLease lease(state_);
-  return SessionImpl::BlockingExecute(state_->engine, state_, stmt, values,
-                                      nullptr);
+  return SessionImpl::Run(state_, SessionImpl::Describe(stmt, values), nullptr);
 }
 
 Result<PreparedStatement> Session::Prepare(const std::string& sql) {
   if (!valid()) return Status::InvalidArgument("invalid Session");
-  return SessionImpl::Prepare(state_->engine, sql, state_->planner);
+  return SessionImpl::Prepare(state_, sql);
 }
 
 Result<ResultSet> Session::QueryStream(const std::string& sql) {
   if (!valid()) return Status::InvalidArgument("invalid Session");
-  return SessionImpl::OpenQueryStream(
-      state_->engine, state_, sql, state_->planner,
-      state_->engine->options().cache_compiled, nullptr);
+  return SessionImpl::OpenCursor(state_, StatementDesc(sql));
 }
 
 Result<ResultSet> Session::ExecuteStream(const PreparedStatement& stmt,
                                          const std::vector<Value>& values) {
   if (!valid()) return Status::InvalidArgument("invalid Session");
-  return SessionImpl::OpenExecuteStream(state_->engine, state_, stmt, values,
-                                        nullptr);
+  return SessionImpl::OpenCursor(state_, SessionImpl::Describe(stmt, values));
 }
 
 QueryHandle Session::SubmitAsync(const std::string& sql) {
   if (!valid()) return QueryHandle();
-  HiqueEngine* engine = state_->engine;
-  auto session = state_;
-  bool cacheable = engine->options().cache_compiled;
-  plan::PlannerOptions planner = state_->planner;
-  return SessionImpl::Submit(
-      engine, state_,
-      [engine, session, sql, planner,
-       cacheable](std::atomic<int32_t>* cancel) {
-        return SessionImpl::BlockingQuery(engine, session, sql, planner,
-                                          cacheable, cancel);
-      });
+  return SessionImpl::Submit(state_, StatementDesc(sql));
 }
 
 QueryHandle Session::SubmitAsync(const PreparedStatement& stmt,
                                  const std::vector<Value>& values) {
   if (!valid()) return QueryHandle();
-  HiqueEngine* engine = state_->engine;
-  auto session = state_;
-  return SessionImpl::Submit(
-      engine, state_,
-      [engine, session, stmt, values](std::atomic<int32_t>* cancel) {
-        return SessionImpl::BlockingExecute(engine, session, stmt, values,
-                                            cancel);
-      });
+  return SessionImpl::Submit(state_, SessionImpl::Describe(stmt, values));
 }
 
 SessionStats Session::Stats() const {
@@ -1501,7 +1204,7 @@ void Session::Close() {
   }
 }
 
-// ---- HiqueEngine client-facing wrappers ------------------------------------
+// ---- HiqueEngine ----------------------------------------------------------
 
 Session HiqueEngine::OpenSession(SessionOptions options) {
   if (options.priority < 1) options.priority = 1;
@@ -1519,31 +1222,6 @@ Session HiqueEngine::OpenSession(SessionOptions options) {
   Session session;
   session.state_ = std::move(state);
   return session;
-}
-
-Result<QueryResult> HiqueEngine::Query(const std::string& sql) {
-  return default_session_.Query(sql);
-}
-
-Result<QueryResult> HiqueEngine::QueryWithPlanner(
-    const std::string& sql, const plan::PlannerOptions& planner) {
-  // Per-query planner override, bypassing the compiled-query cache so
-  // sweeps always measure a fresh compile.
-  return SessionImpl::BlockingQuery(this, default_session_.state_, sql,
-                                    planner, /*cacheable=*/false, nullptr);
-}
-
-Result<PreparedStatement> HiqueEngine::Prepare(const std::string& sql) {
-  return default_session_.Prepare(sql);
-}
-
-Result<QueryResult> HiqueEngine::Execute(const PreparedStatement& stmt,
-                                         const std::vector<Value>& values) {
-  return default_session_.Execute(stmt, values);
-}
-
-QueryHandle HiqueEngine::SubmitAsync(const std::string& sql) {
-  return default_session_.SubmitAsync(sql);
 }
 
 }  // namespace hique

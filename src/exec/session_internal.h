@@ -13,6 +13,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/admission.h"
@@ -23,8 +24,7 @@
 namespace hique {
 
 /// Immutable after Prepare, so concurrent Execute calls share it freely. The
-/// one exception is the lazily created map-overflow fallback (stale
-/// statistics re-plan), which is guarded by its own mutex.
+/// one exception is the replacement slot, guarded by its own mutex.
 struct PreparedStatement::State {
   std::string sql;
   std::string signature;
@@ -33,24 +33,41 @@ struct PreparedStatement::State {
   std::shared_ptr<exec::CompiledLibrary> library;  // pinned: eviction-proof
   QueryTimings prepare_timings;
   bool cache_hit = false;
-  // How this statement was planned — the map-overflow fallback re-plans
-  // with the same settings.
+  // How this statement was planned: a replan re-prepares `sql` with these
+  // settings (plus forced hybrid aggregation after a map overflow).
   plan::PlannerOptions planner;
-  bool cacheable = false;
   // Prepared DML: no plan/library — Execute routes `sql` to the DML
   // executor and returns rows-affected through the result.
   bool is_dml = false;
   // Per-table physical-layout versions captured right after binding (same
   // order as plan->query->tables). The executor validates the pinned
   // snapshots against these: a Compress/Decompress rewrite that lands
-  // between preparation and pinning fails the execution with the stale-plan
-  // signal instead of running generated code against the wrong page
-  // encoding. Layout-preserving compactions do not bump the version, so a
-  // compaction storm never starves in-flight queries.
+  // between preparation and pinning fails the execution with
+  // RetryReason::kStalePlan instead of running generated code against the
+  // wrong page encoding. Layout-preserving compactions do not bump the
+  // version, so a compaction storm never starves in-flight queries.
   std::vector<uint64_t> table_layouts;
 
-  mutable std::mutex fallback_mu;
-  mutable std::shared_ptr<const State> fallback;
+  // The latest replan of this prepared statement (hybrid aggregation after
+  // a map overflow, a fresh plan after a layout change). Later executions
+  // start from it instead of repeating the run that failed.
+  mutable std::mutex replacement_mu;
+  mutable std::shared_ptr<const State> replacement;
+};
+
+/// One statement as a session receives it: SQL text, or a prepared
+/// statement plus one value per `?` placeholder. Every surface (blocking,
+/// cursor, async) hands one of these to SessionImpl::Open.
+struct StatementDesc {
+  explicit StatementDesc(std::string text) : sql(std::move(text)) {}
+  StatementDesc(std::shared_ptr<const PreparedStatement::State> stmt,
+                std::vector<Value> vals)
+      : prepared(true), statement(std::move(stmt)), values(std::move(vals)) {}
+
+  std::string sql;        // SQL-text form
+  bool prepared = false;  // prepared form: `statement` + `values`
+  std::shared_ptr<const PreparedStatement::State> statement;  // null: invalid
+  std::vector<Value> values;
 };
 
 /// The bounded producer→consumer handoff behind a ResultSet: completed
@@ -170,33 +187,31 @@ struct QueryHandle::AsyncState {
   std::atomic<bool> dequeued{false};
 };
 
-/// Everything one streaming execution owns: the pinned plan/library/param
-/// block the producer thread reads, the handoff core, and the consumer's
-/// cursor position. Destroyed only after the producer joined.
+/// Everything one statement execution owns: the pinned plan/library/param
+/// block the executor reads, the handoff core of a cursor, and the
+/// consumer's cursor position. Destroyed only after the producer joined.
 struct ResultSet::Stream {
   HiqueEngine* engine = nullptr;
   std::shared_ptr<Session::State> session;
 
-  // Plan + library pins (the prepared state owns the plan; the library
-  // shared_ptr keeps the dlopen'd code loaded through cache evictions).
+  // What runs: the current prepared state (it owns the plan) and the
+  // library pin that keeps the dlopen'd code loaded through evictions.
   std::shared_ptr<const PreparedStatement::State> state;
   std::shared_ptr<exec::CompiledLibrary> library;
 
-  // How to (re)launch — kept for the map-overflow restart.
-  bool is_execute = false;
-  std::vector<Value> values;  // placeholder bindings (execute path)
-  std::string sql;
-  plan::PlannerOptions planner;
-  bool cacheable = false;
+  // The prepared statement being executed (null for SQL text): replans
+  // store their replacement state in it.
+  std::shared_ptr<const PreparedStatement::State> statement;
+  std::vector<Value> values;  // placeholder bindings (prepared form)
   std::atomic<int32_t>* external_cancel = nullptr;  // async job's flag
   exec::ParallelRuntime par;
 
   exec::BoundParams bound;
-  std::shared_ptr<StreamCore> core;
+  std::shared_ptr<StreamCore> core;  // cursors and EXPLAIN output only
   std::thread producer;
-  WallTimer exec_timer;  // launch → end-of-stream wall time
+  WallTimer exec_timer;  // open → end-of-stream wall time
 
-  // Metadata fixed at open.
+  // Metadata fixed at open (refreshed by a replan).
   Schema schema;
   uint32_t tuple_size = 0;
   std::string plan_signature;
@@ -219,21 +234,21 @@ struct ResultSet::Stream {
   Status end_status = Status::OK();
   exec::ExecStats stats;
   uint32_t stats_peak_pages = 0;  // high-water resident pages across launches
-  uint64_t acc_pages_allocated = 0;  // folded from prior cores on restart
+  uint64_t acc_pages_allocated = 0;  // folded from prior cores on relaunch
   uint64_t acc_pages_recycled = 0;
 
-  // Stale-statistics restart bookkeeping.
-  bool restarted = false;
+  // Retry budget (SessionImpl::RetryFor): one map-overflow replan, and at
+  // most three stale-plan replans so a compaction storm cannot loop a
+  // statement forever.
+  bool overflow_replanned = false;
+  uint32_t stale_replans = 0;
+  // SQL text that overflowed: the doomed plan, aliased to the working
+  // hybrid library once it succeeds.
   std::string failed_signature;
   plan::ParamTable failed_params;
 
-  // Stale-plan restarts (table layout moved between prepare and pin):
-  // bounded so a compaction storm cannot loop a query forever.
-  uint32_t stale_restarts = 0;
-
-  // DML statements short-circuit the stream machinery: the write executed
-  // before the cursor was handed out, rows_affected carries the count, and
-  // the stream opens pre-finished (done == true, no core, no producer).
+  // DML statements execute inside Open: rows_affected carries the count
+  // and the stream opens finished (done == true, no core, no producer).
   bool is_dml = false;
   int64_t rows_affected = 0;
 
@@ -243,10 +258,9 @@ struct ResultSet::Stream {
   // or the result bytes — collection is engine-side only.
   bool force_op_stats = false;
 
-  // Pre-materialized metadata stream (EXPLAIN output wrapped by
-  // StreamFromResult): the core is already sealed, there is no producer
-  // thread, and statement metrics were recorded by the inner execution —
-  // FinishStream must not fold it into the session gauges again.
+  // EXPLAIN output: the report pages sit in an already sealed core, there
+  // is no producer thread, and statement metrics were recorded by the
+  // inner execution — FinishStream must not fold them again.
   bool is_meta = false;
 
   ~Stream();
@@ -254,102 +268,106 @@ struct ResultSet::Stream {
 
 /// The privileged implementation of the session layer: a friend of
 /// HiqueEngine / Session / ResultSet / QueryHandle / PreparedStatement, so
-/// the streaming and async paths can reach the cache, the worker pool and
-/// the prepared-state internals without widening any public surface.
+/// the statement pipeline can reach the cache, the worker pool and the
+/// prepared-state internals without widening any public surface.
+///
+/// One path per statement: Open turns a StatementDesc into a stream (the
+/// EXPLAIN | DML | SELECT split happens there and only there); the cursor
+/// surfaces start a producer thread on it (OpenCursor), the blocking ones
+/// run it on the calling thread (Run / DrainInline). Both end every run in
+/// RetryFor, and a retryable failure goes through the one Replan.
 struct SessionImpl {
-  static exec::ParallelRuntime RuntimeFor(const Session::State& s,
-                                          std::atomic<int32_t>* cancel);
-
-  /// Builds a fully planned stream (metadata filled, producer not yet
-  /// started): the shared front half of the cursor and blocking paths.
-  static Result<std::unique_ptr<ResultSet::Stream>> BuildQueryStream(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const std::string& sql, const plan::PlannerOptions& planner,
-      bool cacheable, std::atomic<int32_t>* external_cancel);
-  static Result<std::unique_ptr<ResultSet::Stream>> BuildExecuteStream(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const PreparedStatement& stmt, const std::vector<Value>& values,
+  /// Turns a statement into a stream. EXPLAIN renders its report into a
+  /// sealed core; DML executes here and opens finished; a SELECT is
+  /// planned (or taken from its prepared state) but not started.
+  static Result<std::unique_ptr<ResultSet::Stream>> Open(
+      const std::shared_ptr<Session::State>& session, const StatementDesc& desc,
       std::atomic<int32_t>* external_cancel);
 
-  static Result<ResultSet> OpenQueryStream(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const std::string& sql, const plan::PlannerOptions& planner,
-      bool cacheable, std::atomic<int32_t>* external_cancel);
+  /// Session::Prepare: validates DML (executed per Execute) or plans and
+  /// compiles a SELECT with placeholders allowed. EXPLAIN is refused.
+  static Result<PreparedStatement> Prepare(
+      const std::shared_ptr<Session::State>& session, const std::string& sql);
 
-  static Result<ResultSet> OpenExecuteStream(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const PreparedStatement& stmt, const std::vector<Value>& values,
-      std::atomic<int32_t>* external_cancel);
+  /// The prepared form of a StatementDesc.
+  static StatementDesc Describe(const PreparedStatement& stmt,
+                                const std::vector<Value>& values);
 
-  /// Blocking drain on the calling thread — same pipeline and restart
-  /// logic as the cursor path, but no producer thread or handoff queue:
-  /// pages are adopted into the result table straight from the executor's
-  /// page callback.
+  /// Cursor surfaces (QueryStream / ExecuteStream): Open, then start the
+  /// SELECT's producer thread behind a bounded handoff queue.
+  static Result<ResultSet> OpenCursor(
+      const std::shared_ptr<Session::State>& session,
+      const StatementDesc& desc);
+
+  /// Blocking surfaces (Query / Execute / SubmitAsync): Open, then drain.
+  static Result<QueryResult> Run(const std::shared_ptr<Session::State>& session,
+                                 const StatementDesc& desc,
+                                 std::atomic<int32_t>* external_cancel);
+
+  /// Runs a SELECT stream on the calling thread — no producer thread, no
+  /// handoff queue: the executor's page callback adopts pages straight
+  /// into the result table.
   static Result<QueryResult> DrainInline(ResultSet::Stream* stream);
 
   /// EXPLAIN / EXPLAIN ANALYZE over `inner`: plans (and for ANALYZE,
-  /// executes with span collection forced) the inner statement and renders
-  /// the report as a single-CHAR-column result set, so it flows through
-  /// every existing surface — blocking, cursor, and the wire server —
-  /// unchanged.
-  static Result<QueryResult> ExplainQuery(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const std::string& inner, bool analyze,
-      const plan::PlannerOptions& planner, bool cacheable,
-      std::atomic<int32_t>* external_cancel);
+  /// executes with span collection forced) the inner statement and seals
+  /// the report into `stream` as a single-CHAR-column result, so it flows
+  /// through every surface — blocking, cursor, and the wire server.
+  static Status Explain(ResultSet::Stream* stream, const std::string& inner,
+                        bool analyze);
 
-  /// Builds a one-CHAR-column QueryResult (one row per line, width = the
-  /// longest line).
-  static Result<QueryResult> MakeTextResult(const std::string& column,
-                                            const std::vector<std::string>& lines);
+  /// The one retry decision, shared by the cursor and the inline drain: the
+  /// replan a finished run earns (kNone on success or a final failure).
+  /// Only while no result page has reached the consumer, and within the
+  /// stream's per-reason budget.
+  static exec::RetryReason RetryFor(ResultSet::Stream* stream,
+                                    const Status& status,
+                                    const exec::ExecStats& stats,
+                                    uint64_t delivered);
 
-  /// Wraps an already materialized result into a pre-finished stream (pages
-  /// pushed, core sealed, no producer thread) so the cursor and wire paths
-  /// can serve it like any other query.
-  static Result<ResultSet> StreamFromResult(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      QueryResult&& result);
+  /// The one replan: re-prepares the stream's statement (with hybrid
+  /// aggregation forced for kMapOverflow) against the current catalog and
+  /// table layouts. A prepared statement keeps the replacement for its
+  /// later executions. Does not start execution.
+  static Status Replan(ResultSet::Stream* stream, exec::RetryReason reason);
 
-  static Result<QueryResult> BlockingQuery(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const std::string& sql, const plan::PlannerOptions& planner,
-      bool cacheable, std::atomic<int32_t>* external_cancel);
+  /// Points the stream at stream->state: library (the cache's current
+  /// tier when it holds one), schema and plan metadata.
+  static void AdoptState(ResultSet::Stream* stream);
 
-  static Result<QueryResult> BlockingExecute(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      const PreparedStatement& stmt, const std::vector<Value>& values,
-      std::atomic<int32_t>* external_cancel);
+  /// Binds parameters and the execution runtime for one run.
+  static Status BindRun(ResultSet::Stream* stream,
+                        const std::atomic<int32_t>* cancel);
 
-  static QueryHandle Submit(
-      HiqueEngine* engine, const std::shared_ptr<Session::State>& session,
-      std::function<Result<QueryResult>(std::atomic<int32_t>*)> run);
-
-  /// Binds parameters and starts the producer thread (stream->core must be
-  /// unset or replaced first).
+  /// Binds parameters and starts the producer thread on a fresh core.
   static Status Launch(ResultSet::Stream* stream);
 
+  /// Seals a finished run: stats, execute time, statement metrics and the
+  /// overflow alias (success) or the failure count.
+  static void Seal(ResultSet::Stream* stream, Status status,
+                   const exec::ExecStats& stats, int64_t rows);
+
   /// Pulls the next completed page (ownership to the caller); handles the
-  /// end of stream, the map-overflow restart, and the overflow-alias
-  /// success hook. Null at end — stream->done / end_status are then set.
+  /// end of stream and the retry. Null at end — stream->done / end_status
+  /// are then set.
   static Page* PullPage(ResultSet::Stream* stream);
 
   /// Non-blocking PullPage for event-loop consumers (the wire server):
-  /// kPending means the producer is still computing (or a map-overflow
-  /// restart just relaunched) — poll again. Same end-of-stream handling
-  /// as PullPage.
+  /// kPending means the producer is still computing (or a retry just
+  /// relaunched) — poll again. Same end-of-stream handling as PullPage.
   static ResultSet::PagePoll TryPullPage(ResultSet::Stream* stream,
                                          Page** page);
 
-  /// Shared end-of-stream handling once the producer finished and the
-  /// queue drained: joins the producer, folds core telemetry into the
-  /// stream, runs the map-overflow restart (returns true: keep pulling)
-  /// or seals done/end_status (returns false).
+  /// End-of-stream handling once the producer finished and the queue
+  /// drained: joins the producer, folds core telemetry into the stream,
+  /// relaunches a retry (returns true: keep pulling) or seals done /
+  /// end_status (returns false).
   static bool FinishStream(ResultSet::Stream* stream);
 
   /// Blocking-admission lease for Session::Query/Execute: waits for an
   /// admission slot (same stride queue as SubmitAsync), records the wait
   /// in the session stats, and releases on destruction. Async jobs hold an
-  /// admission slot already, so they bypass this (external_cancel path).
+  /// admission slot already, so they bypass this.
   class AdmissionLease {
    public:
     explicit AdmissionLease(const std::shared_ptr<Session::State>& session);
@@ -362,45 +380,17 @@ struct SessionImpl {
     bool leased_ = false;
   };
 
-  /// Copies the open-time metadata out of the (possibly restarted)
-  /// prepared state into the stream.
-  static void FillStreamMeta(ResultSet::Stream* stream);
-
   /// Adds a stream's handoff core to its session's live set (so Close can
   /// cancel it); fails when the session is closed.
   static Status RegisterStream(const std::shared_ptr<Session::State>& session,
                                const std::shared_ptr<StreamCore>& core);
 
-  /// Map-overflow replan: swap the stream onto the hybrid-aggregation
-  /// fallback state (query path: fresh PrepareState + failed-signature
-  /// capture; execute path: the statement's shared lazy fallback) and
-  /// refresh the stream metadata. Does not start execution.
-  static Status ReplanHybrid(ResultSet::Stream* stream);
-
-  /// Map-overflow restart for the cursor path: ReplanHybrid + Launch.
-  static Status RestartWithHybrid(ResultSet::Stream* stream);
-
-  /// Stale-plan replan: re-prepare the stream's statement from scratch
-  /// against the current table layouts (the statistics-version prefix keys
-  /// it to a fresh cache slot). Does not start execution.
-  static Status ReplanFresh(ResultSet::Stream* stream);
-
   /// Shared QueryResult assembly from a finished stream.
   static QueryResult AssembleResult(ResultSet::Stream* stream,
                                     std::unique_ptr<Table> table);
 
-  /// Engine-private plumbing used by the streaming paths.
-  static Result<std::shared_ptr<const PreparedStatement::State>>
-  PrepareQueryState(HiqueEngine* engine, const std::string& sql,
-                    const plan::PlannerOptions& planner, bool cacheable,
-                    bool force_hybrid);
-  static Result<std::shared_ptr<const PreparedStatement::State>>
-  PrepareFallback(HiqueEngine* engine, const PreparedStatement::State& state);
-  static Result<PreparedStatement> Prepare(
-      HiqueEngine* engine, const std::string& sql,
-      const plan::PlannerOptions& planner);
-  static std::shared_ptr<exec::CompiledLibrary> CurrentLibrary(
-      HiqueEngine* engine, const PreparedStatement::State& state);
+  static QueryHandle Submit(const std::shared_ptr<Session::State>& session,
+                            StatementDesc desc);
 
   static void SettleCancelled(const std::shared_ptr<QueryHandle::AsyncState>& s);
 };

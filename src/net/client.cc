@@ -76,21 +76,13 @@ bool RemoteResultSet::FetchPage() {
         return true;
       }
       case MsgType::kResultDone: {
-        WireReader r(frame.payload);
-        uint64_t pages_touched, tuples_emitted;
-        uint32_t threads;
-        uint8_t cache_hit;
-        uint64_t affected = 0;
-        Status parsed = r.U64(&total_rows_);
-        if (parsed.ok()) parsed = r.F64(&server_execute_ms_);
-        if (parsed.ok()) parsed = r.U64(&pages_touched);
-        if (parsed.ok()) parsed = r.U64(&tuples_emitted);
-        if (parsed.ok()) parsed = r.U32(&threads);
-        if (parsed.ok()) parsed = r.U8(&cache_hit);
-        // v4 extension: absent from v3 servers' frames, defaults to 0.
-        if (parsed.ok() && r.remaining() > 0) parsed = r.U64(&affected);
-        if (parsed.ok()) rows_affected_ = static_cast<int64_t>(affected);
-        end_status_ = parsed;
+        ResultDone summary;
+        end_status_ = DecodeResultDone(frame.payload, &summary);
+        if (end_status_.ok()) {
+          total_rows_ = summary.rows;
+          server_execute_ms_ = summary.execute_ms;
+          rows_affected_ = static_cast<int64_t>(summary.rows_affected);
+        }
         done_ = true;
         return false;
       }

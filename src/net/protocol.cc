@@ -110,4 +110,28 @@ StatusCode WireToStatusCode(uint32_t code) {
   return static_cast<StatusCode>(code);
 }
 
+std::vector<uint8_t> EncodeResultDone(const ResultDone& done) {
+  WireWriter w;
+  w.U64(done.rows);
+  w.F64(done.execute_ms);
+  w.U64(done.pages_touched);
+  w.U64(done.tuples_emitted);
+  w.U32(done.threads);
+  w.U8(done.cache_hit);
+  w.U64(done.rows_affected);
+  return w.Take();
+}
+
+Status DecodeResultDone(const std::vector<uint8_t>& payload,
+                        ResultDone* out) {
+  WireReader r(payload);
+  HQ_RETURN_IF_ERROR(r.U64(&out->rows));
+  HQ_RETURN_IF_ERROR(r.F64(&out->execute_ms));
+  HQ_RETURN_IF_ERROR(r.U64(&out->pages_touched));
+  HQ_RETURN_IF_ERROR(r.U64(&out->tuples_emitted));
+  HQ_RETURN_IF_ERROR(r.U32(&out->threads));
+  HQ_RETURN_IF_ERROR(r.U8(&out->cache_hit));
+  return r.U64(&out->rows_affected);
+}
+
 }  // namespace hique::net

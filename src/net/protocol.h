@@ -143,6 +143,23 @@ Result<size_t> DecodeFrame(const uint8_t* buf, size_t size, Frame* frame);
 uint32_t StatusCodeToWire(StatusCode code);
 StatusCode WireToStatusCode(uint32_t code);
 
+/// The kResultDone payload: the terminal summary of a successful stream.
+struct ResultDone {
+  uint64_t rows = 0;
+  double execute_ms = 0;
+  uint64_t pages_touched = 0;
+  uint64_t tuples_emitted = 0;
+  uint32_t threads = 0;
+  uint8_t cache_hit = 0;
+  uint64_t rows_affected = 0;
+};
+
+std::vector<uint8_t> EncodeResultDone(const ResultDone& done);
+
+/// Every field is mandatory: a payload that ends before rows_affected (or
+/// any other field) is a protocol error.
+Status DecodeResultDone(const std::vector<uint8_t>& payload, ResultDone* out);
+
 }  // namespace hique::net
 
 #endif  // HIQUE_NET_PROTOCOL_H_

@@ -484,15 +484,17 @@ void Server::PumpStream(Connection* conn) {
       status = Status::ExecError("query cancelled");
     }
     if (status.ok()) {
-      WireWriter w;
-      w.U64(static_cast<uint64_t>(conn->cursor.rows_read()));
-      w.F64(conn->cursor.timings().execute_ms);
-      w.U64(conn->cursor.exec_stats().pages_touched);
-      w.U64(conn->cursor.exec_stats().tuples_emitted);
-      w.U32(conn->cursor.exec_stats().threads);
-      w.U8(conn->cursor.cache_hit() ? 1 : 0);
-      w.U64(static_cast<uint64_t>(conn->cursor.rows_affected()));
-      SendFrame(conn, static_cast<uint8_t>(MsgType::kResultDone), w.buffer());
+      ResultDone summary;
+      summary.rows = static_cast<uint64_t>(conn->cursor.rows_read());
+      summary.execute_ms = conn->cursor.timings().execute_ms;
+      summary.pages_touched = conn->cursor.exec_stats().pages_touched;
+      summary.tuples_emitted = conn->cursor.exec_stats().tuples_emitted;
+      summary.threads = conn->cursor.exec_stats().threads;
+      summary.cache_hit = conn->cursor.cache_hit() ? 1 : 0;
+      summary.rows_affected =
+          static_cast<uint64_t>(conn->cursor.rows_affected());
+      SendFrame(conn, static_cast<uint8_t>(MsgType::kResultDone),
+                EncodeResultDone(summary));
       std::lock_guard<std::mutex> lk(stats_mu_);
       ++stats_.queries_finished;
       stats_.pages_streamed += conn->stream_pages;

@@ -1,9 +1,9 @@
 #include "variants/variants.h"
 
 #include "codegen/abi_embed.h"
+#include "exec/compiled_library.h"
 #include "exec/compiler.h"
 #include "util/macros.h"
-#include "util/timer.h"
 
 namespace hique::variants {
 namespace {
@@ -658,13 +658,15 @@ Result<VariantRun> RunVariant(MicroQuery query, Style style,
   run.source_bytes = compiled.source_bytes;
   run.library_bytes = compiled.library_bytes;
 
-  Schema out_schema = VariantOutputSchema();
+  HQ_ASSIGN_OR_RETURN(
+      auto library,
+      exec::CompiledLibrary::Load(std::move(compiled), "hique_query_main",
+                                  std::move(source), opt_level,
+                                  /*unlink_on_unload=*/false));
   exec::ExecStats stats;
-  WallTimer timer;
-  HQ_ASSIGN_OR_RETURN(auto result, exec::ExecuteLibraryOnTables(
-                                       tables, out_schema,
-                                       compiled.library_path,
-                                       "hique_query_main", nullptr, &stats));
+  HQ_ASSIGN_OR_RETURN(auto result, exec::ExecuteEntryToTable(
+                                       tables, VariantOutputSchema(),
+                                       library->entry(), nullptr, &stats));
   run.execute_seconds = stats.execute_seconds;
   if (result->NumTuples() != 1) {
     return Status::Internal("variant produced no checksum row");
@@ -673,7 +675,6 @@ Result<VariantRun> RunVariant(MicroQuery query, Style style,
     run.count = result->schema().GetValue(tuple, 0).AsInt64();
     run.checksum = result->schema().GetValue(tuple, 1).AsDouble();
   }));
-  (void)timer;
   return run;
 }
 

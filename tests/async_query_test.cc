@@ -68,7 +68,7 @@ TEST_F(AsyncQueryTest, SubmitWaitMatchesBlockingQuery) {
     auto async_result = handles[i].Wait();
     ASSERT_TRUE(async_result.ok()) << queries[i] << ": "
                                    << async_result.status().ToString();
-    auto blocking = engine.Query(queries[i]);
+    auto blocking = session.Query(queries[i]);
     ASSERT_TRUE(blocking.ok());
     EXPECT_EQ(ResultTuples(async_result.value()),
               ResultTuples(blocking.value()))
@@ -153,7 +153,7 @@ TEST_F(AsyncQueryTest, CancelInFlightQueryIsRaceFree) {
     }
   }
   // Engine healthy afterwards.
-  auto check = engine.Query("select count(*) as c from ar");
+  auto check = session.Query("select count(*) as c from ar");
   ASSERT_TRUE(check.ok()) << check.status().ToString();
 }
 

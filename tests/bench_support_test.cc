@@ -103,7 +103,8 @@ TEST(TpchQ6Test, MatchesScanFilterAggShape) {
   opts.scale_factor = 0.002;
   ASSERT_TRUE(tpch::LoadTpch(&catalog, opts).ok());
   HiqueEngine engine(&catalog);
-  auto r = engine.Query(tpch::Query6Sql());
+  Session conn = engine.OpenSession();
+  auto r = conn.Query(tpch::Query6Sql());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().NumRows(), 1);
   // Q6 is a pure scan: single pass, no staging or join ops in the plan.

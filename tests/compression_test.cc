@@ -321,8 +321,9 @@ TEST_F(CompressedExecTest, BitIdenticalAcrossThreadsAndSimdLevels) {
   std::vector<exec::ExecStats> baseline_stats;
   {
     HiqueEngine base(&plain_catalog, Options(1, /*compression=*/false));
+    Session base_conn = base.OpenSession();
     for (const auto& sql : queries) {
-      auto r = base.Query(sql);
+      auto r = base_conn.Query(sql);
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
       baseline_rows.push_back(ResultTuples(r.value()));
       baseline_stats.push_back(r.value().exec_stats);
@@ -336,11 +337,12 @@ TEST_F(CompressedExecTest, BitIdenticalAcrossThreadsAndSimdLevels) {
     ::setenv("HQ_SIMD", simd, 1);
     for (uint32_t threads : {1u, 2u, 8u}) {
       HiqueEngine engine(&comp_catalog, Options(threads, /*compression=*/true));
+      Session conn = engine.OpenSession();
       compressed_any =
           compressed_any ||
           comp_catalog.GetTable("lineitem").value()->codec().enabled;
       for (size_t q = 0; q < queries.size(); ++q) {
-        auto r = engine.Query(queries[q]);
+        auto r = conn.Query(queries[q]);
         ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
         // Bit-identical rows in the same order, including double
         // aggregates: the decode kernels feed the same values in the same
@@ -386,13 +388,15 @@ TEST_F(CompressedExecTest, UnaffectedPlansKeepSourceAndSignature) {
   EngineOptions on_opts = Options(1, /*compression=*/true);
   on_opts.keep_source = true;
   HiqueEngine off(&catalog, off_opts);
+  Session off_conn = off.OpenSession();
   HiqueEngine on(&catalog, on_opts);
+  Session on_conn = on.OpenSession();
   ASSERT_FALSE(t->codec().enabled);  // chooser declined
 
   const std::string sql =
       "select count(*) as c, sum(u_d) as sd from uc where u_k >= 0";
-  auto a = off.Query(sql);
-  auto b = on.Query(sql);
+  auto a = off_conn.Query(sql);
+  auto b = on_conn.Query(sql);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a.value().plan_signature, b.value().plan_signature);
@@ -413,11 +417,13 @@ TEST_F(CompressedExecTest, CompressedPlansSignDistinctly) {
   EngineOptions off_opts = Options(1, /*compression=*/false);
   EngineOptions on_opts = Options(1, /*compression=*/true);
   HiqueEngine off(&catalog, off_opts);
+  Session off_conn = off.OpenSession();
   std::string sql = "select count(*) as c from sig where sig_v < 100";
-  auto a = off.Query(sql);
+  auto a = off_conn.Query(sql);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   HiqueEngine on(&catalog, on_opts);  // compresses "sig" at construction
-  auto b = on.Query(sql);
+  Session on_conn = on.OpenSession();
+  auto b = on_conn.Query(sql);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_NE(a.value().plan_signature, b.value().plan_signature);
   EXPECT_NE(b.value().plan_signature.find("enc="), std::string::npos);

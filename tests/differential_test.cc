@@ -64,7 +64,8 @@ class DifferentialTest : public ::testing::TestWithParam<Case> {
     switch (GetParam().engine) {
       case EngineKind::kHique: {
         HiqueEngine engine(&catalog_);
-        auto r = engine.Query(sql);
+        Session conn = engine.OpenSession();
+        auto r = conn.Query(sql);
         if (!r.ok()) return r.status();
         for (auto& row : r.value().Rows()) actual.push_back(row);
         break;
@@ -246,7 +247,7 @@ TEST_P(ForcedAlgoTest, JoinAggAgainstReference) {
   // HIQUE.
   {
     HiqueEngine engine(&catalog_);
-    auto r = engine.QueryWithPlanner(sql, opts);
+    auto r = testing::PlannerSession(&engine, opts).Query(sql);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     std::vector<ref::Row> actual;
     for (auto& row : r.value().Rows()) actual.push_back(row);
@@ -319,7 +320,7 @@ TEST_P(TeamJoinTest, MatchesReference) {
   auto expected = ref::ExecuteSql(sql, catalog);
   ASSERT_TRUE(expected.ok());
   HiqueEngine engine(&catalog);
-  auto r = engine.QueryWithPlanner(sql, opts);
+  auto r = testing::PlannerSession(&engine, opts).Query(sql);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::vector<ref::Row> actual;
   for (auto& row : r.value().Rows()) actual.push_back(row);
@@ -346,6 +347,7 @@ TEST_P(DmlDifferentialTest, RandomizedDmlBatchesBetweenQueryShapes) {
   testing::MakeIntTable(&catalog, "r", 1200, 40, seed);
   testing::MakeIntTable(&catalog, "s", 800, 40, seed + 99);
   HiqueEngine engine(&catalog);
+  Session conn = engine.OpenSession();
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 1);
 
   const std::vector<std::string> shapes = {
@@ -381,7 +383,7 @@ TEST_P(DmlDifferentialTest, RandomizedDmlBatchesBetweenQueryShapes) {
                 std::to_string(v % 200);
           break;
       }
-      auto r = engine.Query(sql);
+      auto r = conn.Query(sql);
       ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n  dml: " << sql;
       EXPECT_GE(r.value().rows_affected, 0) << sql;
     }

@@ -18,10 +18,12 @@ class E2ETest : public ::testing::Test {
     MakeIntTable(&catalog_, "s", 1500, 50, 2);
     MakeIntTable(&catalog_, "u", 500, 50, 3);
     engine_ = std::make_unique<HiqueEngine>(&catalog_);
+    conn_ = engine_->OpenSession();
   }
 
   Catalog catalog_;
   std::unique_ptr<HiqueEngine> engine_;
+  Session conn_;
 };
 
 #define EXPECT_MATCHES_REF(sql)                                \
@@ -106,10 +108,10 @@ TEST_F(E2ETest, MultiKeyGrouping) {
 
 TEST_F(E2ETest, CompiledQueryCacheHit) {
   std::string sql = "select count(*) from r";
-  auto first = engine_->Query(sql);
+  auto first = conn_.Query(sql);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   uint64_t cached = first.value().cache_stats.entries;
-  auto second = engine_->Query(sql);
+  auto second = conn_.Query(sql);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value().cache_stats.entries, cached);
   EXPECT_GE(second.value().cache_stats.hits, 1u);

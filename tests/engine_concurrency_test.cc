@@ -39,6 +39,7 @@ TEST_F(EngineConcurrencyTest, ConcurrentQueryStress) {
   EngineOptions opts;
   opts.max_cached_queries = 2;
   HiqueEngine engine(&catalog_, opts);
+  Session conn = engine.OpenSession();
 
   const std::string templ_a = "select t_k from t where t_v < ";
   const std::string templ_b = "select t_k, count(*) from t where t_v < ";
@@ -57,7 +58,7 @@ TEST_F(EngineConcurrencyTest, ConcurrentQueryStress) {
         // row-count check only holds for the value both templates probed.
         std::string sql = use_a ? templ_a + "500"
                                 : templ_b + "500 group by t_k";
-        auto r = engine.Query(sql);
+        auto r = conn.Query(sql);
         if (!r.ok() ||
             r.value().NumRows() != (use_a ? expected_a : expected_b)) {
           ++failures;
@@ -67,7 +68,7 @@ TEST_F(EngineConcurrencyTest, ConcurrentQueryStress) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_LE(engine.CompiledCacheSize(), 2u);
+  EXPECT_LE(engine.CacheStats().entries, 2u);
 }
 
 TEST_F(EngineConcurrencyTest, EvictionDuringExecutionKeepsLibraryAlive) {
@@ -77,6 +78,7 @@ TEST_F(EngineConcurrencyTest, EvictionDuringExecutionKeepsLibraryAlive) {
   EngineOptions opts;
   opts.max_cached_queries = 1;
   HiqueEngine engine(&catalog_, opts);
+  Session conn = engine.OpenSession();
 
   const std::vector<std::string> queries = {
       "select t_k from t where t_v < 400",
@@ -92,20 +94,21 @@ TEST_F(EngineConcurrencyTest, EvictionDuringExecutionKeepsLibraryAlive) {
     threads.emplace_back([&, id] {
       for (int i = 0; i < 4; ++i) {
         size_t qi = (id + i) % queries.size();
-        auto r = engine.Query(queries[qi]);
+        auto r = conn.Query(queries[qi]);
         if (!r.ok() || r.value().NumRows() != expected[qi]) ++failures;
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(engine.CompiledCacheSize(), 1u);
+  EXPECT_EQ(engine.CacheStats().entries, 1u);
   EXPECT_GE(engine.CacheStats().evictions, 2u);
 }
 
 TEST_F(EngineConcurrencyTest, ConcurrentExecuteOnSharedStatement) {
   HiqueEngine engine(&catalog_);
-  auto prepared = engine.Prepare("select t_k from t where t_v < ?");
+  Session conn = engine.OpenSession();
+  auto prepared = conn.Prepare("select t_k from t where t_v < ?");
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   const PreparedStatement stmt = prepared.value();  // copied handle
 
@@ -124,7 +127,7 @@ TEST_F(EngineConcurrencyTest, ConcurrentExecuteOnSharedStatement) {
     threads.emplace_back([&, id] {
       for (int i = 0; i < 5; ++i) {
         int vi = (id + i) % 3;
-        auto r = engine.Execute(stmt, {Value::Int64(thresholds[vi])});
+        auto r = conn.Execute(stmt, {Value::Int64(thresholds[vi])});
         if (!r.ok() || r.value().NumRows() != expected[vi]) ++failures;
       }
     });
@@ -133,7 +136,7 @@ TEST_F(EngineConcurrencyTest, ConcurrentExecuteOnSharedStatement) {
   EXPECT_EQ(failures.load(), 0);
 
   engine.WaitForTierUpgrades();
-  auto upgraded = engine.Execute(stmt, {Value::Int64(500)});
+  auto upgraded = conn.Execute(stmt, {Value::Int64(500)});
   ASSERT_TRUE(upgraded.ok());
   EXPECT_EQ(upgraded.value().library_opt_level, 2);
   EXPECT_EQ(upgraded.value().NumRows(), expected[1]);
@@ -141,20 +144,21 @@ TEST_F(EngineConcurrencyTest, ConcurrentExecuteOnSharedStatement) {
 
 TEST_F(EngineConcurrencyTest, ConcurrentPrepareAndQueryMix) {
   HiqueEngine engine(&catalog_);
+  Session conn = engine.OpenSession();
   std::atomic<int> failures{0};
   const int64_t expected = RefCount(catalog_, "select t_k from t where t_v < 300");
   std::vector<std::thread> threads;
   for (int id = 0; id < 3; ++id) {
     threads.emplace_back([&] {
       for (int i = 0; i < 3; ++i) {
-        auto stmt = engine.Prepare("select t_k from t where t_v < ?");
+        auto stmt = conn.Prepare("select t_k from t where t_v < ?");
         if (!stmt.ok()) {
           ++failures;
           continue;
         }
-        auto r = engine.Execute(stmt.value(), {Value::Int64(300)});
+        auto r = conn.Execute(stmt.value(), {Value::Int64(300)});
         if (!r.ok() || r.value().NumRows() != expected) ++failures;
-        auto q = engine.Query("select t_k from t where t_v < 300");
+        auto q = conn.Query("select t_k from t where t_v < 300");
         if (!q.ok() || q.value().NumRows() != expected) ++failures;
       }
     });
@@ -163,7 +167,7 @@ TEST_F(EngineConcurrencyTest, ConcurrentPrepareAndQueryMix) {
   EXPECT_EQ(failures.load(), 0);
   // All threads used one template: at most a few duplicate-compile races,
   // but exactly one surviving entry.
-  EXPECT_EQ(engine.CompiledCacheSize(), 1u);
+  EXPECT_EQ(engine.CacheStats().entries, 1u);
 }
 
 }  // namespace

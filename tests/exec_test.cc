@@ -71,14 +71,15 @@ TEST(EngineTest, CompiledCacheReuse) {
   Catalog catalog;
   testing::MakeIntTable(&catalog, "t", 500, 10, 3);
   HiqueEngine engine(&catalog);
+  Session conn = engine.OpenSession();
   std::string sql = "select t_k, count(*) from t group by t_k";
-  auto first = engine.Query(sql);
+  auto first = conn.Query(sql);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value().cache_stats.entries, 1u);
   EXPECT_EQ(first.value().cache_stats.misses, 1u);
   EXPECT_FALSE(first.value().cache_hit);
   EXPECT_GT(first.value().timings.compile_ms, 0.0);
-  auto second = engine.Query(sql);
+  auto second = conn.Query(sql);
   ASSERT_TRUE(second.ok());
   CacheStats stats = second.value().cache_stats;
   EXPECT_EQ(stats.entries, 1u);
@@ -109,7 +110,8 @@ TEST(EngineTest, MapOverflowReplansWithHybrid) {
   ASSERT_TRUE(expected.ok());
 
   HiqueEngine engine(&catalog);
-  auto r = engine.Query(sql);
+  Session conn = engine.OpenSession();
+  auto r = conn.Query(sql);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::vector<ref::Row> actual;
   for (auto& row : r.value().Rows()) actual.push_back(row);
@@ -121,7 +123,7 @@ TEST(EngineTest, MapOverflowReplansWithHybrid) {
 
   // The fallback library is aliased under the overflowing plan's signature:
   // repeating the query hits the cache instead of re-executing to overflow.
-  auto repeat = engine.Query(sql);
+  auto repeat = conn.Query(sql);
   ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
   EXPECT_TRUE(repeat.value().cache_hit);
   std::vector<ref::Row> repeat_rows;
@@ -138,17 +140,25 @@ TEST(EngineTest, UncachedArtefactsDeletedAfterExecution) {
   {
     EngineOptions opts;
     opts.gen_dir = gen_dir;
+    opts.cache_compiled = false;
     HiqueEngine engine(&catalog, opts);
-    // QueryWithPlanner bypasses the cache (benchmark sweeps): its .cc/.so
-    // must not pile up in the gen dir run after run.
-    ASSERT_TRUE(
-        engine.QueryWithPlanner("select count(*) from t", {}).ok());
+    Session conn = engine.OpenSession();
+    // An uncached engine compiles a private library per statement
+    // (benchmark sweeps): its .cc/.so must not pile up in the gen dir run
+    // after run.
+    ASSERT_TRUE(conn.Query("select count(*) from t").ok());
     auto files = env::ListDir(gen_dir);
     ASSERT_TRUE(files.ok());
     EXPECT_TRUE(files.value().empty())
         << files.value().size() << " artefacts left behind";
+  }
+  {
+    EngineOptions opts;
+    opts.gen_dir = gen_dir;
+    HiqueEngine engine(&catalog, opts);
+    Session conn = engine.OpenSession();
     // Cached artefacts live exactly as long as a library holds them.
-    ASSERT_TRUE(engine.Query("select count(*) from t").ok());
+    ASSERT_TRUE(conn.Query("select count(*) from t").ok());
     engine.WaitForTierUpgrades();
   }
   // Engine destroyed: every library unloaded, gen dir empty again.
@@ -165,9 +175,10 @@ TEST(EngineTest, KeepSourceRetainsArtefacts) {
     EngineOptions opts;
     opts.gen_dir = gen_dir;
     opts.keep_source = true;
+    opts.cache_compiled = false;
     HiqueEngine engine(&catalog, opts);
-    ASSERT_TRUE(
-        engine.QueryWithPlanner("select count(*) from t", {}).ok());
+    Session conn = engine.OpenSession();
+    ASSERT_TRUE(conn.Query("select count(*) from t").ok());
   }
   auto files = env::ListDir(gen_dir);
   ASSERT_TRUE(files.ok());
@@ -180,7 +191,8 @@ TEST(EngineTest, KeepSourceExposesGeneratedCode) {
   EngineOptions opts;
   opts.keep_source = true;
   HiqueEngine engine(&catalog, opts);
-  auto r = engine.Query("select t_k from t where t_v < 100");
+  Session conn = engine.OpenSession();
+  auto r = conn.Query("select t_k from t where t_v < 100");
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r.value().generated_source.find("hique_query_main"),
             std::string::npos);
@@ -192,7 +204,8 @@ TEST(EngineTest, SoftwareCountersPopulated) {
   Catalog catalog;
   testing::MakeIntTable(&catalog, "t", 2000, 10, 7);
   HiqueEngine engine(&catalog);
-  auto r = engine.Query("select count(*) from t");
+  Session conn = engine.OpenSession();
+  auto r = conn.Query("select count(*) from t");
   ASSERT_TRUE(r.ok());
   // Generated code touches every page exactly once for this query.
   Table* t = catalog.GetTable("t").value();
@@ -204,8 +217,9 @@ TEST(EngineTest, PlannerErrorsSurface) {
   Catalog catalog;
   testing::MakeIntTable(&catalog, "t", 100, 5, 8);
   HiqueEngine engine(&catalog);
-  EXPECT_FALSE(engine.Query("select nothere from t").ok());
-  EXPECT_FALSE(engine.Query("not even sql").ok());
+  Session conn = engine.OpenSession();
+  EXPECT_FALSE(conn.Query("select nothere from t").ok());
+  EXPECT_FALSE(conn.Query("not even sql").ok());
 }
 
 }  // namespace

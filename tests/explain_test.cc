@@ -80,11 +80,12 @@ class ExplainTest : public ::testing::Test {
 TEST_F(ExplainTest, ExplainMatchesExecutedPlan) {
   Catalog& catalog = SharedCatalog();
   HiqueEngine engine(&catalog, FastOptions(2));
+  Session conn = engine.OpenSession();
   const std::string inner =
       "select xr_k, count(*) as c, sum(xs_v) as sv from xr, xs "
       "where xr_k = xs_k group by xr_k order by xr_k";
 
-  auto explained = engine.Query("explain " + inner);
+  auto explained = conn.Query("explain " + inner);
   ASSERT_TRUE(explained.ok()) << explained.status().ToString();
   std::vector<std::string> lines = ReportLines(explained.value());
   ASSERT_GE(lines.size(), 3u);
@@ -95,7 +96,7 @@ TEST_F(ExplainTest, ExplainMatchesExecutedPlan) {
     EXPECT_EQ(line.find("  time "), std::string::npos) << line;
   }
 
-  auto run = engine.Query(inner);
+  auto run = conn.Query(inner);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   // The op lines are exactly the plan the real execution reports.
   std::vector<std::string> expected_ops;
@@ -121,13 +122,14 @@ TEST_F(ExplainTest, ExplainMatchesExecutedPlan) {
 TEST_F(ExplainTest, CachedAndColdExplainPrintIdenticalPlans) {
   Catalog& catalog = SharedCatalog();
   HiqueEngine engine(&catalog, FastOptions(2));
+  Session conn = engine.OpenSession();
   const std::string sql =
       "explain select xbig_k, count(*) as c from xbig group by xbig_k "
       "order by c desc, xbig_k limit 17";
 
-  auto cold = engine.Query(sql);
+  auto cold = conn.Query(sql);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  auto cached = engine.Query(sql);
+  auto cached = conn.Query(sql);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
 
   std::vector<std::string> cold_lines = ReportLines(cold.value());
@@ -153,8 +155,9 @@ TEST_F(ExplainTest, AnalyzeSpansCoverExecuteAcrossThreads) {
   };
   for (uint32_t threads : {1u, 2u, 8u}) {
     HiqueEngine engine(&catalog, FastOptions(threads));
+    Session conn = engine.OpenSession();
     for (const auto& inner : queries) {
-      auto r = engine.Query("explain analyze " + inner);
+      auto r = conn.Query("explain analyze " + inner);
       ASSERT_TRUE(r.ok()) << inner << ": " << r.status().ToString();
       const exec::ExecStats& stats = r.value().exec_stats;
       ASSERT_FALSE(stats.ops.empty()) << inner;
@@ -204,10 +207,12 @@ TEST_F(ExplainTest, InstrumentationChangesNeitherSourceNorResults) {
     on.keep_source = true;
     on.trace_spans = true;
     HiqueEngine engine_off(&catalog, off);
+    Session engine_off_conn = engine_off.OpenSession();
     HiqueEngine engine_on(&catalog, on);
+    Session engine_on_conn = engine_on.OpenSession();
 
-    auto r_off = engine_off.Query(sql);
-    auto r_on = engine_on.Query(sql);
+    auto r_off = engine_off_conn.Query(sql);
+    auto r_on = engine_on_conn.Query(sql);
     ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
     ASSERT_TRUE(r_on.ok()) << r_on.status().ToString();
     ASSERT_FALSE(r_off.value().generated_source.empty());
@@ -226,6 +231,7 @@ TEST_F(ExplainTest, InstrumentationChangesNeitherSourceNorResults) {
 TEST_F(ExplainTest, ExplainWorksOverTheWire) {
   Catalog& catalog = SharedCatalog();
   HiqueEngine engine(&catalog, FastOptions(2));
+  Session conn = engine.OpenSession();
   net::Server server(&engine);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_GT(server.port(), 0);
@@ -254,7 +260,7 @@ TEST_F(ExplainTest, ExplainWorksOverTheWire) {
 
   // The same report computed in-process (modulo timings, so compare the
   // structural lines only).
-  auto local = engine.Query(sql);
+  auto local = conn.Query(sql);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
   EXPECT_EQ(PlanOnlyLines(lines),
             PlanOnlyLines(ReportLines(local.value())));
@@ -267,12 +273,13 @@ TEST_F(ExplainTest, ExplainWorksOverTheWire) {
 TEST_F(ExplainTest, ExplainRejectsPrepareAndDml) {
   Catalog& catalog = SharedCatalog();
   HiqueEngine engine(&catalog, FastOptions(1));
-  EXPECT_FALSE(engine.Prepare("explain select xr_k from xr").ok());
+  Session conn = engine.OpenSession();
+  EXPECT_FALSE(conn.Prepare("explain select xr_k from xr").ok());
   EXPECT_FALSE(
-      engine.Query("explain insert into xr values (1, 2, 3.0, 'x')").ok());
+      conn.Query("explain insert into xr values (1, 2, 3.0, 'x')").ok());
   // The EXPLAIN keyword must not leak into ordinary parsing.
-  EXPECT_FALSE(engine.Query("explain").ok());
-  EXPECT_FALSE(engine.Query("explain analyze").ok());
+  EXPECT_FALSE(conn.Query("explain").ok());
+  EXPECT_FALSE(conn.Query("explain analyze").ok());
 }
 
 }  // namespace

@@ -169,9 +169,10 @@ TEST(MetricsTest, EngineFeedsStatementMetricsAndPlanCache) {
   o.tiered_compilation = false;
   o.gen_dir = env::ProcessTempDir() + "/metrics_e";
   HiqueEngine engine(catalog, o);
+  Session conn = engine.OpenSession();
   const std::string sql = "select mt_k, count(*) as c from mt group by mt_k";
-  ASSERT_TRUE(engine.Query(sql).ok());
-  ASSERT_TRUE(engine.Query(sql).ok());
+  ASSERT_TRUE(conn.Query(sql).ok());
+  ASSERT_TRUE(conn.Query(sql).ok());
 
   EXPECT_GE(statements->Value(), statements_before + 2);
   EXPECT_GE(misses->Value(), misses_before + 1);
@@ -193,9 +194,10 @@ TEST(MetricsTest, SlowQueryLogTriggersOnThreshold) {
   // first compile alone crosses this.
   o.slow_query_ms = 0.000001;
   HiqueEngine engine(catalog, o);
+  Session conn = engine.OpenSession();
   const std::string sql =
       "select sq_k, count(*) as c from sq group by sq_k order by sq_k";
-  ASSERT_TRUE(engine.Query(sql).ok());
+  ASSERT_TRUE(conn.Query(sql).ok());
   ASSERT_GE(engine.slow_log()->total_recorded(), 1u);
   auto entries = engine.slow_log()->Snapshot();
   ASSERT_FALSE(entries.empty());

@@ -150,6 +150,46 @@ TEST(FrameTest, StatusCodeMappingRoundTrips) {
   EXPECT_EQ(WireToStatusCode(0xffffffffu), StatusCode::kInternal);
 }
 
+TEST(ResultDoneTest, EveryFieldRoundTrips) {
+  ResultDone done;
+  done.rows = 123456789012ull;
+  done.execute_ms = 4.25;
+  done.pages_touched = 77;
+  done.tuples_emitted = 1u << 20;
+  done.threads = 8;
+  done.cache_hit = 1;
+  done.rows_affected = 42;
+  ResultDone out;
+  ASSERT_TRUE(DecodeResultDone(EncodeResultDone(done), &out).ok());
+  EXPECT_EQ(out.rows, done.rows);
+  EXPECT_EQ(out.execute_ms, done.execute_ms);
+  EXPECT_EQ(out.pages_touched, done.pages_touched);
+  EXPECT_EQ(out.tuples_emitted, done.tuples_emitted);
+  EXPECT_EQ(out.threads, done.threads);
+  EXPECT_EQ(out.cache_hit, done.cache_hit);
+  EXPECT_EQ(out.rows_affected, done.rows_affected);
+}
+
+TEST(ResultDoneTest, TruncatedBeforeRowsAffectedIsAProtocolError) {
+  // The v3 layout: everything up to cache_hit, no rows_affected. Hello
+  // admits only kProtocolVersion peers, so such a frame is malformed.
+  WireWriter w;
+  w.U64(10);   // rows
+  w.F64(1.5);  // execute_ms
+  w.U64(3);    // pages_touched
+  w.U64(10);   // tuples_emitted
+  w.U32(2);    // threads
+  w.U8(0);     // cache_hit
+  ResultDone out;
+  EXPECT_FALSE(DecodeResultDone(w.buffer(), &out).ok());
+  // Cut anywhere inside the last field as well.
+  std::vector<uint8_t> full = EncodeResultDone(ResultDone());
+  for (size_t cut = 1; cut <= 8; ++cut) {
+    std::vector<uint8_t> partial(full.begin(), full.end() - cut);
+    EXPECT_FALSE(DecodeResultDone(partial, &out).ok()) << "cut " << cut;
+  }
+}
+
 void ExpectValueRoundTrip(const Value& v) {
   WireWriter w;
   WriteValue(v, &w);

@@ -170,6 +170,7 @@ TEST_F(NetServerTest, ConcurrentRemoteClientsBitIdenticalAcrossThreads) {
 TEST_F(NetServerTest, MidStreamDisconnectCancelsServerQuery) {
   Catalog& catalog = SharedCatalog();
   HiqueEngine engine(&catalog, FastOptions(2));
+  Session conn = engine.OpenSession();
   net::Server server(&engine);
   ASSERT_TRUE(server.Start().ok());
 
@@ -202,7 +203,7 @@ TEST_F(NetServerTest, MidStreamDisconnectCancelsServerQuery) {
   EXPECT_EQ(stats.queries_finished, 0u);
 
   // Engine fully healthy afterwards.
-  auto check = engine.Query(
+  auto check = conn.Query(
       "select nr_k, count(*) as c from nr group by nr_k order by nr_k");
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_EQ(check.value().NumRows(), 50);

@@ -121,8 +121,9 @@ TEST_F(ParallelExecTest, ResultsBitIdenticalAcrossThreadCounts) {
   std::vector<exec::ExecStats> baseline_stats;
   {
     HiqueEngine serial(&catalog, Options(1));
+    Session serial_conn = serial.OpenSession();
     for (const auto& sql : queries) {
-      auto r = serial.Query(sql);
+      auto r = serial_conn.Query(sql);
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
       baseline_rows.push_back(ResultTuples(r.value()));
       baseline_stats.push_back(r.value().exec_stats);
@@ -131,9 +132,10 @@ TEST_F(ParallelExecTest, ResultsBitIdenticalAcrossThreadCounts) {
 
   for (uint32_t threads : {2u, 8u}) {
     HiqueEngine engine(&catalog, Options(threads));
+    Session conn = engine.OpenSession();
     EXPECT_EQ(engine.threads(), threads);
     for (size_t q = 0; q < queries.size(); ++q) {
-      auto r = engine.Query(queries[q]);
+      auto r = conn.Query(queries[q]);
       ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
       // Bit-identical: same rows, same order, byte for byte.
       EXPECT_EQ(ResultTuples(r.value()), baseline_rows[q])
@@ -180,8 +182,9 @@ TEST_F(ParallelExecTest, SkewedParallelTailsBitIdenticalAcrossThreadCounts) {
   std::vector<exec::ExecStats> serial_stats;
   {
     HiqueEngine serial(&catalog, options(1));
+    Session serial_conn = serial.OpenSession();
     for (const auto& sql : queries) {
-      auto r = serial.Query(sql);
+      auto r = serial_conn.Query(sql);
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
       baseline_rows.push_back(ResultTuples(r.value()));
       serial_stats.push_back(r.value().exec_stats);
@@ -201,8 +204,9 @@ TEST_F(ParallelExecTest, SkewedParallelTailsBitIdenticalAcrossThreadCounts) {
   std::vector<exec::ExecStats> par_stats;
   for (uint32_t threads : {2u, 8u}) {
     HiqueEngine engine(&catalog, options(threads));
+    Session conn = engine.OpenSession();
     for (size_t q = 0; q < queries.size(); ++q) {
-      auto r = engine.Query(queries[q]);
+      auto r = conn.Query(queries[q]);
       ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
       EXPECT_EQ(ResultTuples(r.value()), baseline_rows[q])
           << "threads=" << threads << " query: " << queries[q];
@@ -288,7 +292,9 @@ TEST_F(ParallelExecTest, GeneratedSourceIndependentOfThreadCount) {
   EngineOptions parallel_opts = Options(8);
   parallel_opts.keep_source = true;
   HiqueEngine serial(&catalog, serial_opts);
+  Session serial_conn = serial.OpenSession();
   HiqueEngine parallel(&catalog, parallel_opts);
+  Session parallel_conn = parallel.OpenSession();
 
   for (const std::string& sql : {
            std::string("select pr_k, count(*) as c from pr, ps "
@@ -298,8 +304,8 @@ TEST_F(ParallelExecTest, GeneratedSourceIndependentOfThreadCount) {
            std::string("select zr_k, zr_v from zr order by zr_v, zr_k"),
            std::string("select zr_k, zs_v from zr, zs where zr_k = zs_k"),
        }) {
-    auto a = serial.Query(sql);
-    auto b = parallel.Query(sql);
+    auto a = serial_conn.Query(sql);
+    auto b = parallel_conn.Query(sql);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     // The threads knob is pure runtime scheduling: one compiled library
@@ -319,7 +325,8 @@ TEST_F(ParallelExecTest, WorkerOomCancelsQueryCleanly) {
   // block, so it caps real scratch memory.)
   opts.arena_limit_bytes = 24ull << 20;
   HiqueEngine engine(&catalog, opts);
-  auto r = engine.Query(
+  Session conn = engine.OpenSession();
+  auto r = conn.Query(
       "select count(*) as c, sum(ps_d) as sd, pr_v from pr, ps "
       "where pr_v = ps_v group by pr_v");
   ASSERT_FALSE(r.ok());
@@ -329,7 +336,8 @@ TEST_F(ParallelExecTest, WorkerOomCancelsQueryCleanly) {
   // The engine (and its pool) stay healthy: the same query at an
   // unconstrained engine still runs.
   HiqueEngine healthy(&catalog, Options(8));
-  auto ok = healthy.Query("select count(*) as c from pr");
+  Session healthy_conn = healthy.OpenSession();
+  auto ok = healthy_conn.Query("select count(*) as c from pr");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value().NumRows(), 1);
 }
@@ -340,11 +348,12 @@ TEST_F(ParallelExecTest, CachedFusedAggRepeatsAreStable) {
   // The per-task accumulator blocks are per-execution by construction.
   Catalog& catalog = SharedCatalog();
   HiqueEngine engine(&catalog, Options(2));
+  Session conn = engine.OpenSession();
   const std::string sql =
       "select count(*) as c, sum(ps_d) as sd from pr, ps where pr_k = ps_k";
-  auto first = engine.Query(sql);
+  auto first = conn.Query(sql);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = engine.Query(sql);
+  auto second = conn.Query(sql);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_TRUE(second.value().cache_hit);
   EXPECT_EQ(ResultTuples(first.value()), ResultTuples(second.value()));
@@ -356,10 +365,11 @@ TEST_F(ParallelExecTest, ConcurrentClientsShareWorkerPool) {
   // must see exact results (exercised under TSan in CI with HQ_THREADS=4).
   Catalog& catalog = SharedCatalog();
   HiqueEngine engine(&catalog, Options(4));
+  Session conn = engine.OpenSession();
   const std::string sql =
       "select pr_k, count(*) as c from pr, ps where pr_k = ps_k "
       "group by pr_k order by pr_k";
-  auto expected = engine.Query(sql);
+  auto expected = conn.Query(sql);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::vector<std::string> expected_rows = ResultTuples(expected.value());
 
@@ -369,7 +379,7 @@ TEST_F(ParallelExecTest, ConcurrentClientsShareWorkerPool) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < 3; ++i) {
-        auto r = engine.Query(sql);
+        auto r = conn.Query(sql);
         if (!r.ok()) {
           failures[c] = r.status();
           return;

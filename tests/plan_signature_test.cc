@@ -83,6 +83,7 @@ class ParamCacheTest : public ::testing::Test {
   void SetUp() override {
     testing::MakeIntTable(&catalog_, "t", 2000, 16, 21);
     engine_ = std::make_unique<HiqueEngine>(&catalog_);
+    conn_ = engine_->OpenSession();
   }
 
   /// Runs through HIQUE and checks the rows against the reference executor.
@@ -93,6 +94,7 @@ class ParamCacheTest : public ::testing::Test {
 
   Catalog catalog_;
   std::unique_ptr<HiqueEngine> engine_;
+  Session conn_;
 };
 
 TEST_F(ParamCacheTest, LiteralVariantsCompileExactlyOnce) {
@@ -107,7 +109,7 @@ TEST_F(ParamCacheTest, LiteralVariantsCompileExactlyOnce) {
   EXPECT_EQ(engine_->CacheStats().entries, 1u);
 
   // First execution compiled; every variant after it hit the cache.
-  auto again = engine_->Query("select t_k from t where t_v < 123");
+  auto again = conn_.Query("select t_k from t where t_v < 123");
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again.value().cache_hit);
   EXPECT_EQ(again.value().timings.compile_ms, 0.0);
@@ -119,7 +121,7 @@ TEST_F(ParamCacheTest, LiteralVariantsAgreeWithIteratorEngine) {
   for (int v : {200, 500, 800}) {
     std::string sql = "select t_k, count(*), sum(t_d) from t where t_v < " +
                       std::to_string(v) + " group by t_k";
-    auto compiled = engine_->Query(sql);
+    auto compiled = conn_.Query(sql);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
     auto iterated = volcano.Query(sql);
     ASSERT_TRUE(iterated.ok()) << iterated.status().ToString();
@@ -150,9 +152,9 @@ TEST_F(ParamCacheTest, CharLiteralVariantsShareOneLibrary) {
 }
 
 TEST_F(ParamCacheTest, StructurallyDifferentQueriesMiss) {
-  ASSERT_TRUE(engine_->Query("select t_k from t where t_v < 100").ok());
-  ASSERT_TRUE(engine_->Query("select t_k from t where t_v > 100").ok());
-  ASSERT_TRUE(engine_->Query("select count(*) from t").ok());
+  ASSERT_TRUE(conn_.Query("select t_k from t where t_v < 100").ok());
+  ASSERT_TRUE(conn_.Query("select t_k from t where t_v > 100").ok());
+  ASSERT_TRUE(conn_.Query("select count(*) from t").ok());
   EXPECT_EQ(engine_->CacheStats().entries, 3u);
 }
 
@@ -160,20 +162,21 @@ TEST_F(ParamCacheTest, LruEvictionRespectsBound) {
   EngineOptions opts;
   opts.max_cached_queries = 2;
   HiqueEngine engine(&catalog_, opts);
+  Session conn = engine.OpenSession();
   const std::string q1 = "select t_k from t where t_v < 100";
   const std::string q2 = "select count(*) from t";
   const std::string q3 = "select t_v from t where t_k < 3";
-  ASSERT_TRUE(engine.Query(q1).ok());
-  ASSERT_TRUE(engine.Query(q2).ok());
+  ASSERT_TRUE(conn.Query(q1).ok());
+  ASSERT_TRUE(conn.Query(q2).ok());
   EXPECT_EQ(engine.CacheStats().entries, 2u);
 
   // q3 evicts q1 (the coldest); q2 stays hot.
-  ASSERT_TRUE(engine.Query(q3).ok());
+  ASSERT_TRUE(conn.Query(q3).ok());
   EXPECT_EQ(engine.CacheStats().entries, 2u);
-  auto q2_again = engine.Query(q2);
+  auto q2_again = conn.Query(q2);
   ASSERT_TRUE(q2_again.ok());
   EXPECT_TRUE(q2_again.value().cache_hit);
-  auto q1_again = engine.Query(q1);
+  auto q1_again = conn.Query(q1);
   ASSERT_TRUE(q1_again.ok());
   EXPECT_FALSE(q1_again.value().cache_hit);  // was evicted, recompiled
   EXPECT_EQ(engine.CacheStats().entries, 2u);
@@ -185,23 +188,23 @@ TEST_F(ParamCacheTest, StatsRefreshInvalidatesCachedLibraries) {
   // constants (partition counts, directory geometry) are stale, instead of
   // letting them linger until LRU eviction.
   const std::string sql = "select t_k, count(*) from t group by t_k";
-  auto first = engine_->Query(sql);
+  auto first = conn_.Query(sql);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(first.value().cache_hit);
 
-  auto warm = engine_->Query(sql);
+  auto warm = conn_.Query(sql);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm.value().cache_hit);
 
   // A statistics refresh re-keys the plan: same SQL, fresh compile.
   ASSERT_TRUE(catalog_.GetTable("t").value()->ComputeStats().ok());
-  auto refreshed = engine_->Query(sql);
+  auto refreshed = conn_.Query(sql);
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_FALSE(refreshed.value().cache_hit);
   EXPECT_NE(refreshed.value().plan_signature, first.value().plan_signature);
 
   // The new key is stable: repeats hit again.
-  auto rewarm = engine_->Query(sql);
+  auto rewarm = conn_.Query(sql);
   ASSERT_TRUE(rewarm.ok());
   EXPECT_TRUE(rewarm.value().cache_hit);
 }
@@ -210,8 +213,9 @@ TEST_F(ParamCacheTest, HoistingDisabledRestoresPerLiteralCaching) {
   EngineOptions opts;
   opts.hoist_constants = false;
   HiqueEngine engine(&catalog_, opts);
-  ASSERT_TRUE(engine.Query("select t_k from t where t_v < 100").ok());
-  ASSERT_TRUE(engine.Query("select t_k from t where t_v < 200").ok());
+  Session conn = engine.OpenSession();
+  ASSERT_TRUE(conn.Query("select t_k from t where t_v < 100").ok());
+  ASSERT_TRUE(conn.Query("select t_k from t where t_v < 200").ok());
   // Inlined literals appear in the signature: per-literal specialization.
   EXPECT_EQ(engine.CacheStats().entries, 2u);
 

@@ -22,16 +22,18 @@ class PropertyTest : public ::testing::TestWithParam<uint64_t> {
     testing::MakeIntTable(&catalog_, "r", rows_r_, domain_, seed * 3 + 1);
     testing::MakeIntTable(&catalog_, "s", rows_s_, domain_, seed * 3 + 2);
     engine_ = std::make_unique<HiqueEngine>(&catalog_);
+    conn_ = engine_->OpenSession();
   }
 
   std::vector<std::vector<Value>> Run(const std::string& sql) {
-    auto r = engine_->Query(sql);
+    auto r = conn_.Query(sql);
     HQ_CHECK_MSG(r.ok(), r.status().ToString().c_str());
     return r.value().Rows();
   }
 
   Catalog catalog_;
   std::unique_ptr<HiqueEngine> engine_;
+  Session conn_;
   uint64_t rows_r_ = 0, rows_s_ = 0;
   int64_t domain_ = 0;
 };
@@ -124,7 +126,7 @@ TEST_P(PropertyTest, AggregationAlgorithmsAgree) {
   {
     plan::PlannerOptions opts;
     opts.force_agg_algo = plan::AggAlgo::kHybridHashSort;
-    auto rows = engine_->QueryWithPlanner(sql, opts);
+    auto rows = testing::PlannerSession(engine_.get(), opts).Query(sql);
     ASSERT_TRUE(rows.ok());
     for (const auto& row : rows.value().Rows()) {
       expected[row[0].AsInt32()] = {row[1].AsInt64(), row[2].AsDouble()};
@@ -134,7 +136,7 @@ TEST_P(PropertyTest, AggregationAlgorithmsAgree) {
     plan::PlannerOptions opts;
     opts.force_agg_algo = algo;
     opts.map_agg_max_cells = 1u << 16;
-    auto rows = engine_->QueryWithPlanner(sql, opts);
+    auto rows = testing::PlannerSession(engine_.get(), opts).Query(sql);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     size_t seen = 0;
     for (const auto& row : rows.value().Rows()) {

@@ -84,7 +84,7 @@ TEST_F(SessionStreamTest, StreamedRowsBitIdenticalToQueryAcrossThreads) {
     HiqueEngine engine(&catalog, FastOptions(threads));
     Session session = engine.OpenSession({});
     for (const auto& sql : Queries()) {
-      auto materialized = engine.Query(sql);
+      auto materialized = session.Query(sql);
       ASSERT_TRUE(materialized.ok()) << sql << ": "
                                      << materialized.status().ToString();
       auto rs = session.QueryStream(sql);
@@ -116,7 +116,7 @@ TEST_F(SessionStreamTest, PeakResultPageResidencyIsBounded) {
 
   const std::string sql = "select big_k, big_v, big_d from big "
                           "where big_v >= 0";
-  auto materialized = engine.Query(sql);
+  auto materialized = session.Query(sql);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
   ASSERT_GT(materialized.value().NumRows(), 150000);
   uint64_t result_pages = materialized.value().table->NumPages();
@@ -145,7 +145,7 @@ TEST_F(SessionStreamTest, PageRecyclingBoundsSteadyStateAllocations) {
 
   const std::string sql = "select big_k, big_v, big_d from big "
                           "where big_v >= 0";
-  auto materialized = engine.Query(sql);
+  auto materialized = session.Query(sql);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
   uint64_t result_pages = materialized.value().table->NumPages();
   ASSERT_GT(result_pages, 100u) << "result too small to prove recycling";
@@ -185,7 +185,7 @@ TEST_F(SessionStreamTest, EarlyCloseCancelsCleanly) {
     EXPECT_FALSE(cursor.Next());
   }
   // The engine (pool, cache, arenas) must be fully healthy afterwards.
-  auto check = engine.Query(
+  auto check = session.Query(
       "select sr_k, count(*) as c from sr group by sr_k order by sr_k");
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_GT(check.value().NumRows(), 0);
@@ -202,19 +202,20 @@ TEST_F(SessionStreamTest, DroppedCursorCancelsViaDestructor) {
     ResultSet cursor = std::move(rs).value();
     ASSERT_TRUE(cursor.Next());  // start consuming, then just drop it
   }
-  auto check = engine.Query("select count(*) as c from sr");
+  auto check = session.Query("select count(*) as c from sr");
   ASSERT_TRUE(check.ok()) << check.status().ToString();
 }
 
 TEST_F(SessionStreamTest, SessionThreadOverrideForcesSerialExecution) {
   Catalog& catalog = SharedCatalog();
   HiqueEngine engine(&catalog, FastOptions(4));
+  Session conn = engine.OpenSession();
   SessionOptions serial;
   serial.threads = 1;
   Session serial_session = engine.OpenSession(serial);
   const std::string sql = "select sr_k, count(*) as c from sr group by sr_k";
 
-  auto parallel = engine.Query(sql);
+  auto parallel = conn.Query(sql);
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel.value().exec_stats.threads, 4u);
 
@@ -274,7 +275,7 @@ TEST_F(SessionStreamTest, MapOverflowRestartsStreamTransparently) {
 
   // The restart aliased the hybrid library under the overflowing plan's
   // signature: repeating the query (blocking path) hits the cache.
-  auto repeat = engine.Query(sql);
+  auto repeat = session.Query(sql);
   ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
   EXPECT_TRUE(repeat.value().cache_hit);
 }

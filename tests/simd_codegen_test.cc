@@ -121,9 +121,10 @@ TEST_F(SimdCodegenTest, SimdResultsBitIdenticalToScalar) {
   std::vector<exec::ExecStats> scalar_stats;
   {
     HiqueEngine scalar(&catalog, Options(1, /*simd=*/false));
+    Session scalar_conn = scalar.OpenSession();
     EXPECT_EQ(scalar.simd_level(), HQ_SIMD_SCALAR);
     for (const auto& sql : queries) {
-      auto r = scalar.Query(sql);
+      auto r = scalar_conn.Query(sql);
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
       scalar_rows.push_back(ResultTuples(r.value()));
       scalar_stats.push_back(r.value().exec_stats);
@@ -132,8 +133,9 @@ TEST_F(SimdCodegenTest, SimdResultsBitIdenticalToScalar) {
 
   for (uint32_t threads : {1u, 2u, 8u}) {
     HiqueEngine engine(&catalog, Options(threads, /*simd=*/true));
+    Session conn = engine.OpenSession();
     for (size_t q = 0; q < queries.size(); ++q) {
-      auto r = engine.Query(queries[q]);
+      auto r = conn.Query(queries[q]);
       ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
       // Bit-identical: same rows, same order, byte for byte — including
       // double aggregates, whose fold order the kernels preserve.
@@ -158,15 +160,17 @@ TEST_F(SimdCodegenTest, GeneratedSourceIndependentOfSimdKnob) {
   EngineOptions simd_opts = Options(8, /*simd=*/true);
   simd_opts.keep_source = true;
   HiqueEngine scalar(&catalog, scalar_opts);
+  Session scalar_conn = scalar.OpenSession();
   HiqueEngine simd(&catalog, simd_opts);
+  Session simd_conn = simd.OpenSession();
 
   // Filter + hash-partitioned join + grouping: the source carries every
   // kernel family (bitmap predicate, pid hash, prefetched scatter).
   const std::string sql =
       "select sr_k, count(*) as c from sr, ss where sr_k = ss_k "
       "and sr_v < 500 group by sr_k";
-  auto a = scalar.Query(sql);
-  auto b = simd.Query(sql);
+  auto a = scalar_conn.Query(sql);
+  auto b = simd_conn.Query(sql);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   // The SIMD knob is pure load-time dispatch: one source text (and one

@@ -35,6 +35,16 @@ inline Table* MakeIntTable(Catalog* catalog, const std::string& name,
   return t;
 }
 
+/// A session whose statements plan with `planner` — how the §VI-B sweeps
+/// pin join and aggregation algorithms.
+inline Session PlannerSession(HiqueEngine* engine,
+                              const plan::PlannerOptions& planner) {
+  SessionOptions options;
+  options.override_planner = true;
+  options.planner = planner;
+  return engine->OpenSession(options);
+}
+
 /// Runs `sql` through the HIQUE engine and the reference executor and
 /// asserts identical row sets. Returns a status for EXPECT_TRUE reporting.
 inline Status CheckAgainstReference(HiqueEngine* engine,
@@ -42,7 +52,7 @@ inline Status CheckAgainstReference(HiqueEngine* engine,
                                     bool respect_order = false) {
   auto expected = ref::ExecuteSql(sql, *engine->catalog());
   if (!expected.ok()) return expected.status();
-  auto actual = engine->Query(sql);
+  auto actual = engine->OpenSession().Query(sql);
   if (!actual.ok()) return actual.status();
   std::vector<ref::Row> actual_rows;
   for (auto& row : actual.value().Rows()) actual_rows.push_back(row);

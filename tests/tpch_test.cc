@@ -116,7 +116,8 @@ TEST_P(TpchQueryTest, AllEnginesMatchReference) {
 
   {
     HiqueEngine engine(&catalog);
-    auto r = engine.Query(sql);
+    Session conn = engine.OpenSession();
+    auto r = conn.Query(sql);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     std::vector<ref::Row> rows;
     for (auto& row : r.value().Rows()) rows.push_back(row);

@@ -96,12 +96,13 @@ class DmlTest : public ::testing::Test {
 
 TEST_F(DmlTest, InsertReportsRowsAffectedAndIsVisible) {
   HiqueEngine engine(&catalog_);
-  auto ins = engine.Query(
+  Session conn = engine.OpenSession();
+  auto ins = conn.Query(
       "insert into r values (1000, 1, 1.5, 'x'), (1001, 2, 2.5, 'y')");
   ASSERT_TRUE(ins.ok()) << ins.status().ToString();
   EXPECT_EQ(ins.value().rows_affected, 2);
   auto count =
-      engine.Query("select count(*) from r where r_k >= 1000");
+      conn.Query("select count(*) from r where r_k >= 1000");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count.value().Rows()[0][0].AsInt64(), 2);
   EXPECT_TRUE(
@@ -111,16 +112,17 @@ TEST_F(DmlTest, InsertReportsRowsAffectedAndIsVisible) {
 
 TEST_F(DmlTest, DeleteFiltersBaseRows) {
   HiqueEngine engine(&catalog_);
-  auto before = engine.Query("select count(*) from r where r_k < 10");
+  Session conn = engine.OpenSession();
+  auto before = conn.Query("select count(*) from r where r_k < 10");
   ASSERT_TRUE(before.ok());
   int64_t doomed = before.value().Rows()[0][0].AsInt64();
   ASSERT_GT(doomed, 0);
 
-  auto del = engine.Query("delete from r where r_k < 10");
+  auto del = conn.Query("delete from r where r_k < 10");
   ASSERT_TRUE(del.ok()) << del.status().ToString();
   EXPECT_EQ(del.value().rows_affected, doomed);
 
-  auto after = engine.Query("select count(*) from r where r_k < 10");
+  auto after = conn.Query("select count(*) from r where r_k < 10");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().Rows()[0][0].AsInt64(), 0);
   EXPECT_TRUE(testing::CheckAgainstReference(
@@ -130,18 +132,19 @@ TEST_F(DmlTest, DeleteFiltersBaseRows) {
 
 TEST_F(DmlTest, UpdateEvaluatesOverOldRowImage) {
   HiqueEngine engine(&catalog_);
-  auto sum_before = engine.Query("select sum(r_v) from r where r_k = 3");
-  auto n = engine.Query("select count(*) from r where r_k = 3");
+  Session conn = engine.OpenSession();
+  auto sum_before = conn.Query("select sum(r_v) from r where r_k = 3");
+  auto n = conn.Query("select count(*) from r where r_k = 3");
   ASSERT_TRUE(sum_before.ok());
   ASSERT_TRUE(n.ok());
   int64_t rows = n.value().Rows()[0][0].AsInt64();
   ASSERT_GT(rows, 0);
 
-  auto upd = engine.Query("update r set r_v = r_v + 100 where r_k = 3");
+  auto upd = conn.Query("update r set r_v = r_v + 100 where r_k = 3");
   ASSERT_TRUE(upd.ok()) << upd.status().ToString();
   EXPECT_EQ(upd.value().rows_affected, rows);
 
-  auto sum_after = engine.Query("select sum(r_v) from r where r_k = 3");
+  auto sum_after = conn.Query("select sum(r_v) from r where r_k = 3");
   ASSERT_TRUE(sum_after.ok());
   EXPECT_EQ(sum_after.value().Rows()[0][0].AsInt64(),
             sum_before.value().Rows()[0][0].AsInt64() + 100 * rows);
@@ -163,7 +166,7 @@ TEST_F(DmlTest, PreparedDmlReturnsRowsAffected) {
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1.value().rows_affected, 1);
   EXPECT_EQ(r2.value().rows_affected, 1);
-  auto count = engine.Query("select count(*) from r where r_k = 2000");
+  auto count = session.Query("select count(*) from r where r_k = 2000");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count.value().Rows()[0][0].AsInt64(), 2);
 }
@@ -183,34 +186,35 @@ TEST_F(DmlTest, DmlCursorIsPreFinished) {
 
 TEST_F(DmlTest, RejectionsAreTypedNotAsserted) {
   HiqueEngine engine(&catalog_);
+  Session conn = engine.OpenSession();
   // Unknown table.
-  auto r1 = engine.Query("insert into nosuch values (1)");
+  auto r1 = conn.Query("insert into nosuch values (1)");
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), StatusCode::kNotFound);
   // Read-only (system/bench) table.
   catalog_.GetTable("s").value()->SetReadOnly(true);
-  auto r2 = engine.Query("delete from s where s_k = 1");
+  auto r2 = conn.Query("delete from s where s_k = 1");
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
   catalog_.GetTable("s").value()->SetReadOnly(false);
   // Arity mismatch.
-  auto r3 = engine.Query("insert into r values (1, 2)");
+  auto r3 = conn.Query("insert into r values (1, 2)");
   ASSERT_FALSE(r3.ok());
   EXPECT_EQ(r3.status().code(), StatusCode::kBindError);
   // Unknown column.
-  auto r4 = engine.Query("update r set bogus = 1 where r_k = 0");
+  auto r4 = conn.Query("update r set bogus = 1 where r_k = 0");
   ASSERT_FALSE(r4.ok());
   EXPECT_EQ(r4.status().code(), StatusCode::kBindError);
   // Placeholders are a prepared-read feature; DML rejects them at parse.
-  auto r5 = engine.Query("delete from r where r_k = ?");
+  auto r5 = conn.Query("delete from r where r_k = ?");
   ASSERT_FALSE(r5.ok());
   EXPECT_EQ(r5.status().code(), StatusCode::kParseError);
   // Type mismatch: CHAR literal into an INT column.
-  auto r6 = engine.Query("insert into r values ('x', 1, 1.0, 'p')");
+  auto r6 = conn.Query("insert into r values ('x', 1, 1.0, 'p')");
   ASSERT_FALSE(r6.ok());
   EXPECT_EQ(r6.status().code(), StatusCode::kBindError);
   // Malformed statement text.
-  auto r7 = engine.Query("insert into r valves (1)");
+  auto r7 = conn.Query("insert into r valves (1)");
   ASSERT_FALSE(r7.ok());
   EXPECT_EQ(r7.status().code(), StatusCode::kParseError);
 }
@@ -228,7 +232,8 @@ TEST(DmlFileBackedTest, FileBackedTablesRejectDml) {
   Table* t = catalog.AdoptTable(std::move(table).value()).value();
   ASSERT_TRUE(t->AppendRow({Value::Int32(1)}).ok());
   HiqueEngine engine(&catalog);
-  auto r = engine.Query("delete from f where f_k = 1");
+  Session conn = engine.OpenSession();
+  auto r = conn.Query("delete from f where f_k = 1");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented);
 }
@@ -238,7 +243,7 @@ TEST(DmlFileBackedTest, FileBackedTablesRejectDml) {
 TEST_F(DmlTest, OpenCursorKeepsItsSnapshotAcrossInserts) {
   HiqueEngine engine(&catalog_);
   Session session = engine.OpenSession({});
-  auto base = engine.Query("select count(*) from r");
+  auto base = session.Query("select count(*) from r");
   ASSERT_TRUE(base.ok());
   int64_t base_rows = base.value().Rows()[0][0].AsInt64();
 
@@ -246,7 +251,7 @@ TEST_F(DmlTest, OpenCursorKeepsItsSnapshotAcrossInserts) {
   ASSERT_TRUE(rs.ok());
   ASSERT_TRUE(rs.value().Next());  // producer launched => snapshot pinned
 
-  auto ins = engine.Query("insert into r values (7777, 1, 1.0, 'z')");
+  auto ins = session.Query("insert into r values (7777, 1, 1.0, 'z')");
   ASSERT_TRUE(ins.ok());
 
   int64_t streamed = 1;
@@ -254,7 +259,7 @@ TEST_F(DmlTest, OpenCursorKeepsItsSnapshotAcrossInserts) {
   ASSERT_TRUE(rs.value().status().ok());
   EXPECT_EQ(streamed, base_rows);  // the insert is invisible to the cursor
 
-  auto after = engine.Query("select count(*) from r");
+  auto after = session.Query("select count(*) from r");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().Rows()[0][0].AsInt64(), base_rows + 1);
 }
@@ -262,7 +267,7 @@ TEST_F(DmlTest, OpenCursorKeepsItsSnapshotAcrossInserts) {
 TEST_F(DmlTest, SnapshotSurvivesDeleteAndCompaction) {
   HiqueEngine engine(&catalog_);
   Session session = engine.OpenSession({});
-  auto base = engine.Query("select count(*) from r");
+  auto base = session.Query("select count(*) from r");
   ASSERT_TRUE(base.ok());
   int64_t base_rows = base.value().Rows()[0][0].AsInt64();
 
@@ -270,7 +275,7 @@ TEST_F(DmlTest, SnapshotSurvivesDeleteAndCompaction) {
   ASSERT_TRUE(rs.ok());
   ASSERT_TRUE(rs.value().Next());
 
-  ASSERT_TRUE(engine.Query("delete from r where r_k < 25").ok());
+  ASSERT_TRUE(session.Query("delete from r where r_k < 25").ok());
   Table* r = catalog_.GetTable("r").value();
   ASSERT_TRUE(r->Compact(/*recompress=*/false).ok());
 
@@ -284,18 +289,19 @@ TEST_F(DmlTest, SnapshotSurvivesDeleteAndCompaction) {
 
 TEST_F(DmlTest, CompactionFoldsDeltaAndInvalidatesCachedPlans) {
   HiqueEngine engine(&catalog_);
+  Session conn = engine.OpenSession();
   const std::string q = "select sum(r_v), count(*) from r where r_k < 40";
-  auto first = engine.Query(q);
+  auto first = conn.Query(q);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first.value().cache_hit);
-  auto second = engine.Query(q);
+  auto second = conn.Query(q);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.value().cache_hit);
 
-  ASSERT_TRUE(engine.Query("insert into r values (39, 9, 9.0, 'q')").ok());
-  ASSERT_TRUE(engine.Query("delete from r where r_k = 38").ok());
+  ASSERT_TRUE(conn.Query("insert into r values (39, 9, 9.0, 'q')").ok());
+  ASSERT_TRUE(conn.Query("delete from r where r_k = 38").ok());
   // DML alone must NOT invalidate the cache — merge-on-read serves it.
-  auto merged = engine.Query(q);
+  auto merged = conn.Query(q);
   ASSERT_TRUE(merged.ok());
   EXPECT_TRUE(merged.value().cache_hit);
   EXPECT_TRUE(testing::CheckAgainstReference(&engine, q).ok());
@@ -308,7 +314,7 @@ TEST_F(DmlTest, CompactionFoldsDeltaAndInvalidatesCachedPlans) {
   EXPECT_EQ(r->delta()->deleted_base(), 0u);
 
   // Compaction bumped the stats version: the cached plan is re-keyed.
-  auto recompiled = engine.Query(q);
+  auto recompiled = conn.Query(q);
   ASSERT_TRUE(recompiled.ok());
   EXPECT_FALSE(recompiled.value().cache_hit);
   EXPECT_TRUE(testing::CheckAgainstReference(&engine, q).ok());
@@ -316,11 +322,11 @@ TEST_F(DmlTest, CompactionFoldsDeltaAndInvalidatesCachedPlans) {
 
 TEST_F(DmlTest, BackgroundCompactorFoldsAfterThreshold) {
   HiqueEngine engine(&catalog_);
+  Session conn = engine.OpenSession();
   txn::Compactor compactor(&catalog_, /*recompress=*/false,
                            /*threshold=*/1);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(engine
-                    .Query("insert into r values (" + std::to_string(i) +
+    ASSERT_TRUE(conn.Query("insert into r values (" + std::to_string(i) +
                            ", 1, 1.0, 'c')")
                     .ok());
   }
@@ -338,14 +344,15 @@ TEST_F(DmlTest, BackgroundCompactorFoldsAfterThreshold) {
 
 TEST_F(DmlTest, ConcurrentAppendVsCompiledScan) {
   HiqueEngine engine(&catalog_, Options(2));
+  Session conn = engine.OpenSession();
   const std::string q = "select sum(r_v), count(*) from r where r_k < 40";
-  ASSERT_TRUE(engine.Query(q).ok());  // compile once up front
+  ASSERT_TRUE(conn.Query(q).ok());  // compile once up front
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::thread writer([&] {
     for (int i = 0; i < 300 && failures.load() == 0; ++i) {
-      auto r = engine.Query("insert into r values (" + std::to_string(i % 50) +
+      auto r = conn.Query("insert into r values (" + std::to_string(i % 50) +
                             ", 2, 2.0, 'w')");
       if (!r.ok()) failures.fetch_add(1);
     }
@@ -355,7 +362,7 @@ TEST_F(DmlTest, ConcurrentAppendVsCompiledScan) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       while (!stop.load()) {
-        auto r = engine.Query(q);
+        auto r = conn.Query(q);
         if (!r.ok()) {
           failures.fetch_add(1);
           break;
@@ -371,18 +378,19 @@ TEST_F(DmlTest, ConcurrentAppendVsCompiledScan) {
 
 TEST_F(DmlTest, CompactionUnderConcurrentReadsAndWrites) {
   HiqueEngine engine(&catalog_, Options(2));
+  Session conn = engine.OpenSession();
   const std::string q = "select r_k, sum(r_v) from r group by r_k";
-  ASSERT_TRUE(engine.Query(q).ok());
+  ASSERT_TRUE(conn.Query(q).ok());
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::thread churn([&] {
     for (int i = 0; i < 60 && failures.load() == 0; ++i) {
-      auto ins = engine.Query("insert into r values (" +
+      auto ins = conn.Query("insert into r values (" +
                               std::to_string(i % 50) + ", 3, 3.0, 'k')");
       if (!ins.ok()) failures.fetch_add(1);
       if (i % 5 == 0) {
-        auto del = engine.Query("delete from r where r_v = 3 and r_k = " +
+        auto del = conn.Query("delete from r where r_v = 3 and r_k = " +
                                 std::to_string(i % 50));
         if (!del.ok()) failures.fetch_add(1);
       }
@@ -394,7 +402,7 @@ TEST_F(DmlTest, CompactionUnderConcurrentReadsAndWrites) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       while (!stop.load()) {
-        auto res = engine.Query(q);
+        auto res = conn.Query(q);
         // Stale-plan restarts are internal; callers only ever see success.
         if (!res.ok()) {
           failures.fetch_add(1);
@@ -431,10 +439,11 @@ TEST_P(RefreshTest, Rf1ThenRf2MatchesReferenceOnQ1AndQ6) {
   load.scale_factor = 0.002;
   ASSERT_TRUE(tpch::LoadTpch(&catalog, load).ok());
   HiqueEngine engine(&catalog, Options(cfg.threads, cfg.compress));
+  Session conn = engine.OpenSession();
 
   auto apply = [&](const tpch::RefreshBatch& batch) {
     for (const std::string& stmt : batch.statements) {
-      auto r = engine.Query(stmt);
+      auto r = conn.Query(stmt);
       ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n  stmt: " << stmt;
       EXPECT_GT(r.value().rows_affected, 0) << stmt;
     }

@@ -90,8 +90,9 @@ class VariantsTest : public ::testing::TestWithParam<VariantCase> {
   static std::pair<int64_t, double> EngineTruth(variants::MicroQuery q) {
     Catalog& catalog = SharedCatalog();
     HiqueEngine engine(&catalog);
+    Session conn = engine.OpenSession();
     if (IsJoin(q)) {
-      auto r = engine.Query(
+      auto r = conn.Query(
           "select count(*) as c, sum(vi_a) as s from vo, vi "
           "where vo_k = vi_k");
       HQ_CHECK(r.ok());
@@ -100,10 +101,10 @@ class VariantsTest : public ::testing::TestWithParam<VariantCase> {
     }
     // Aggregations: the variant checksum is count(groups) and
     // sum over groups of (sum a + sum b) == total sum(a) + sum(b).
-    auto r = engine.Query("select sum(va_a) as sa, sum(va_b) as sb from va");
+    auto r = conn.Query("select sum(va_a) as sa, sum(va_b) as sb from va");
     HQ_CHECK_MSG(r.ok(), r.status().ToString().c_str());
     auto rows = r.value().Rows();
-    auto g = engine.Query(
+    auto g = conn.Query(
         "select va_k, count(*) as c from va group by va_k");
     HQ_CHECK_MSG(g.ok(), g.status().ToString().c_str());
     return {g.value().NumRows(),
